@@ -66,14 +66,11 @@
 // reports utilization, Jain fairness, and per-flow throughput/loss
 // distributions per decade; "tfrcsim run manyflows", preset "million"):
 //
-//   - Event queue: the scheduler's default pending-event queue is an
-//     adaptive calendar queue — O(1) expected insert/pop at the uniform
-//     event spacing packet simulations produce — selected over the flat
-//     4-ary heap by benchmark (see sim.DefaultSchedulerQueue for the
-//     recorded verdict). Both backends fire events in identical
-//     (time, insertion-sequence) order, so results are bit-identical;
-//     sim.NewSchedulerWith(sim.QueueHeap4) keeps the heap for workloads
-//     that genuinely hold ~10^6 concurrent events.
+//   - Event queue: the scheduler's pending-event queue is an adaptive
+//     calendar queue — O(1) expected insert/pop at the uniform event
+//     spacing packet simulations produce. Events fire in
+//     (time, insertion-sequence) order, and bucket storage is bounded
+//     by peak occupancy, not by simulated duration.
 //
 //   - Batched timers: TFRC feedback and no-feedback timers — precision
 //     requirement "about one RTT" — can opt onto a shared timer wheel

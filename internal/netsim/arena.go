@@ -5,118 +5,39 @@ import "tfrc/internal/sim"
 // netsimArenaID is this package's slot in every scheduler's arena table.
 var netsimArenaID = sim.NewArenaID()
 
-// arena is the scheduler-attached pool of netsim's per-scenario objects.
-// Everything is handed out bump-pointer style and reclaimed wholesale by
-// ResetArena at the next Scheduler.Reset: a worker that pins a scheduler
-// therefore rebuilds each sweep cell out of the previous cell's entire
-// working set — networks, topologies, monitors — without touching the
-// allocator.
+// arena is the scheduler-attached pool of netsim's per-scenario objects,
+// reclaimed wholesale by ResetArena at the next Scheduler.Reset: a worker
+// that pins a scheduler therefore rebuilds each sweep cell out of the
+// previous cell's entire working set — networks with their nodes, links
+// and queues, topologies, monitors — without touching the allocator.
 type arena struct {
-	networks []*Network
-	netUsed  int
-
-	topos    []*Topology
-	topoUsed int
-
-	dumbbells []*Dumbbell
-	dbUsed    int
-
-	flowMons []*FlowMonitor
-	fmUsed   int
-
-	queueMons []*QueueMonitor
-	qmUsed    int
-
-	utilMons []*UtilizationMonitor
-	umUsed   int
+	networks  sim.Slab[Network]
+	nodes     sim.Slab[Node]
+	links     sim.Slab[Link]
+	dropTails sim.Slab[DropTail]
+	reds      sim.Slab[RED]
+	topos     sim.Slab[Topology]
+	dumbbells sim.Slab[Dumbbell]
+	flowMons  sim.Slab[FlowMonitor]
+	queueMons sim.Slab[QueueMonitor]
+	utilMons  sim.Slab[UtilizationMonitor]
 }
 
 // ResetArena implements sim.Arena: every object ever handed out becomes
 // construction stock again.
 func (a *arena) ResetArena() {
-	a.netUsed = 0
-	a.topoUsed = 0
-	a.dbUsed = 0
-	a.fmUsed = 0
-	a.qmUsed = 0
-	a.umUsed = 0
+	a.networks.Reset()
+	a.nodes.Reset()
+	a.links.Reset()
+	a.dropTails.Reset()
+	a.reds.Reset()
+	a.topos.Reset()
+	a.dumbbells.Reset()
+	a.flowMons.Reset()
+	a.queueMons.Reset()
+	a.utilMons.Reset()
 }
 
 func arenaOf(s *sim.Scheduler) *arena {
 	return s.Arena(netsimArenaID, func() sim.Arena { return &arena{} }).(*arena)
-}
-
-func (a *arena) network() *Network {
-	if a.netUsed < len(a.networks) {
-		nw := a.networks[a.netUsed]
-		a.netUsed++
-		return nw
-	}
-	nw := new(Network)
-	a.networks = append(a.networks, nw)
-	a.netUsed = len(a.networks)
-	return nw
-}
-
-func (a *arena) topology() *Topology {
-	if a.topoUsed < len(a.topos) {
-		t := a.topos[a.topoUsed]
-		a.topoUsed++
-		return t
-	}
-	t := &Topology{
-		nodes: make(map[string]*Node),
-		links: make(map[string]*Link),
-	}
-	a.topos = append(a.topos, t)
-	a.topoUsed = len(a.topos)
-	return t
-}
-
-func (a *arena) dumbbell() *Dumbbell {
-	if a.dbUsed < len(a.dumbbells) {
-		d := a.dumbbells[a.dbUsed]
-		a.dbUsed++
-		return d
-	}
-	d := new(Dumbbell)
-	a.dumbbells = append(a.dumbbells, d)
-	a.dbUsed = len(a.dumbbells)
-	return d
-}
-
-func (a *arena) flowMonitor() *FlowMonitor {
-	if a.fmUsed < len(a.flowMons) {
-		m := a.flowMons[a.fmUsed]
-		a.fmUsed++
-		return m
-	}
-	m := new(FlowMonitor)
-	a.flowMons = append(a.flowMons, m)
-	a.fmUsed = len(a.flowMons)
-	return m
-}
-
-func (a *arena) queueMonitor() *QueueMonitor {
-	if a.qmUsed < len(a.queueMons) {
-		m := a.queueMons[a.qmUsed]
-		a.qmUsed++
-		return m
-	}
-	m := new(QueueMonitor)
-	a.queueMons = append(a.queueMons, m)
-	a.qmUsed = len(a.queueMons)
-	return m
-}
-
-func (a *arena) utilizationMonitor() *UtilizationMonitor {
-	if a.umUsed < len(a.utilMons) {
-		m := a.utilMons[a.umUsed]
-		a.umUsed++
-		return m
-	}
-	m := new(UtilizationMonitor)
-	a.utilMons = append(a.utilMons, m)
-	a.umUsed = len(a.utilMons)
-	return m
 }

@@ -183,11 +183,7 @@ func (n *Node) forward(p *Packet) {
 	n.route[p.Dst].Send(p)
 }
 
-const (
-	nodeChunkSize = 32
-	linkChunkSize = 64
-	ringBlockSize = 4096
-)
+const ringBlockSize = 4096
 
 // bfsHop is BuildRoutes scratch: a frontier node plus the first hop that
 // reached it.
@@ -198,26 +194,18 @@ type bfsHop struct {
 
 // Network owns the topology, the packet pool, and the scheduler binding.
 //
-// All working memory — node and link structs, route tables, queue rings,
-// packets, and route-computation scratch — is slab-allocated on the
-// Network, which itself lives in its scheduler's arena and survives
-// Release/New and Scheduler.Reset cycles, so sweep cells that build
-// thousands of short-lived networks stop paying setup allocations after
-// the first few.
+// All working memory is recycled: node, link and queue structs come from
+// the scheduler's netsim arena, and route tables, queue rings, packets,
+// and route-computation scratch are slab-allocated on the Network, which
+// itself lives in that arena and survives Release/New and
+// Scheduler.Reset cycles, so sweep cells that build thousands of
+// short-lived networks stop paying setup allocations after the first
+// few.
 type Network struct {
 	sched      *sim.Scheduler
 	pool       Pool    //tfrc:keep packet chunk free lists are the slab being pooled
-	nodes      []*Node //tfrc:keep node headers live in nodeChunks; this index is recycled backing
+	nodes      []*Node //tfrc:keep node headers live in the arena's node slab; this index is recycled backing
 	nominalPkt int     // mean packet size (bytes) for capacity-aware queues
-
-	nodeChunks [][]Node
-	nodesUsed  int
-	linkChunks [][]Link
-	linksUsed  int
-	dtChunks   [][]DropTail //tfrc:keep slab: queue structs are recycled in place across scenarios
-	dtUsed     int
-	redChunks  [][]RED //tfrc:keep slab: queue structs are recycled in place across scenarios
-	redUsed    int
 
 	// nowFn is the clock closure handed to capacity-aware queues. It
 	// captures the (stable) Network rather than the current scheduler, so
@@ -246,14 +234,10 @@ type Network struct {
 // all its slab storage — is handed out again, so sweep cells that build
 // thousands of short-lived networks stop paying setup allocations.
 func New(sched *sim.Scheduler) *Network {
-	nw := arenaOf(sched).network()
+	nw := arenaOf(sched).networks.Get()
 	nw.sched = sched
 	nw.nominalPkt = 1000
 	nw.nodes = nw.nodes[:0]
-	nw.nodesUsed = 0
-	nw.linksUsed = 0
-	nw.dtUsed = 0
-	nw.redUsed = 0
 	nw.ringBlock = 0
 	nw.ringOff = 0
 	nw.partitioned = false
@@ -274,20 +258,20 @@ func New(sched *sim.Scheduler) *Network {
 // memory at the next Scheduler.Reset either way.
 func (nw *Network) Release() {
 	nw.sched = nil
-	for i := 0; i < nw.nodesUsed; i++ {
-		n := &nw.nodeChunks[i/nodeChunkSize][i%nodeChunkSize]
+	for _, n := range nw.nodes {
 		clear(n.ports[:cap(n.ports)])
 		n.ports = n.ports[:0]
 		clear(n.portTab[:cap(n.portTab)])
 		n.portTab = n.portTab[:0]
 		n.route = nil
-	}
-	for i := 0; i < nw.linksUsed; i++ {
-		l := &nw.linkChunks[i/linkChunkSize][i%linkChunkSize]
-		clear(l.taps[:cap(l.taps)])
-		l.taps = l.taps[:0]
-		l.queue = nil
-		l.imp = nil
+		// Every link is in exactly one node's adjacency: its source's.
+		for _, adj := range n.links {
+			l := adj.l
+			clear(l.taps[:cap(l.taps)])
+			l.taps = l.taps[:0]
+			l.queue = nil
+			l.imp = nil
+		}
 	}
 	clear(nw.routeSlab)
 }
@@ -313,15 +297,10 @@ func (nw *Network) Now() float64 { return nw.sched.Now() }
 // Pool returns the shared packet pool.
 func (nw *Network) Pool() *Pool { return &nw.pool }
 
-// allocNode hands out the next node struct from the chunk slabs,
+// allocNode hands out the next node struct from the arena,
 // preserving any slice capacity a previous life of the struct grew.
 func (nw *Network) allocNode() *Node {
-	ci, off := nw.nodesUsed/nodeChunkSize, nw.nodesUsed%nodeChunkSize
-	if ci == len(nw.nodeChunks) {
-		nw.nodeChunks = append(nw.nodeChunks, make([]Node, nodeChunkSize))
-	}
-	nw.nodesUsed++
-	n := &nw.nodeChunks[ci][off]
+	n := arenaOf(nw.sched).nodes.Get()
 	n.links = n.links[:0]
 	n.ports = n.ports[:0]
 	n.portTab = n.portTab[:0]
@@ -330,14 +309,9 @@ func (nw *Network) allocNode() *Node {
 	return n
 }
 
-// allocLink hands out the next link struct from the chunk slabs.
+// allocLink hands out the next link struct from the arena.
 func (nw *Network) allocLink() *Link {
-	ci, off := nw.linksUsed/linkChunkSize, nw.linksUsed%linkChunkSize
-	if ci == len(nw.linkChunks) {
-		nw.linkChunks = append(nw.linkChunks, make([]Link, linkChunkSize))
-	}
-	nw.linksUsed++
-	l := &nw.linkChunks[ci][off]
+	l := arenaOf(nw.sched).links.Get()
 	*l = Link{taps: l.taps[:0]}
 	return l
 }

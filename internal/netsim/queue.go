@@ -74,18 +74,13 @@ func NewDropTail(limit int) *DropTail {
 }
 
 // newDropTail is the arena-backed variant used by the topology layer:
-// the struct comes from the network's chunk slabs and the ring buffer
+// the struct comes from the scheduler's netsim arena and the ring buffer
 // from its packet-pointer arena, both recycled across Release/New.
 func (nw *Network) newDropTail(limit int) *DropTail {
 	if limit < 1 {
 		panic("netsim: DropTail limit must be ≥ 1")
 	}
-	ci, off := nw.dtUsed/linkChunkSize, nw.dtUsed%linkChunkSize
-	if ci == len(nw.dtChunks) {
-		nw.dtChunks = append(nw.dtChunks, make([]DropTail, linkChunkSize))
-	}
-	nw.dtUsed++
-	q := &nw.dtChunks[ci][off]
+	q := arenaOf(nw.sched).dropTails.Get()
 	n := limit
 	if n < 8 {
 		n = 8

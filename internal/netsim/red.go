@@ -90,17 +90,12 @@ func NewRED(cfg REDConfig, now func() float64, rng *sim.Rand) *RED {
 }
 
 // newRED is the arena-backed variant used by the topology layer: the
-// struct comes from the network's chunk slabs, the ring buffer from its
+// struct comes from the scheduler's netsim arena, the ring buffer from its
 // packet-pointer arena, and the clock closure is the network's shared
 // one — all recycled across Release/New.
 func (nw *Network) newRED(cfg REDConfig, rng *sim.Rand) *RED {
 	validateRED(cfg)
-	ci, off := nw.redUsed/linkChunkSize, nw.redUsed%linkChunkSize
-	if ci == len(nw.redChunks) {
-		nw.redChunks = append(nw.redChunks, make([]RED, linkChunkSize))
-	}
-	nw.redUsed++
-	q := &nw.redChunks[ci][off]
+	q := arenaOf(nw.sched).reds.Get()
 	n := cfg.Limit
 	if n < 8 {
 		n = 8

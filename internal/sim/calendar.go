@@ -5,17 +5,17 @@ import (
 	"slices"
 )
 
-// This file implements the calendar-queue backend of the Scheduler: a
+// This file implements the Scheduler's pending-event queue: a
 // Brown-style calendar queue (R. Brown, "Calendar Queues: A Fast O(1)
 // Priority Queue Implementation for the Simulation Event Set Problem",
-// CACM 1988) living behind the same At/AtArg/Cancel/Step API as the
-// 4-ary heap. The queue is an array of "day" buckets, each holding the
-// events of one width-sized slice of simulated time, sorted by
-// (time, insertion sequence). Insertion hashes the event's time to its
-// bucket and binary-inserts; popping walks the calendar "day by day",
-// firing events whose virtual day has arrived. When a full rotation
-// finds nothing (a sparse far-future queue), a direct scan of all
-// bucket heads locates the global minimum and the calendar jumps there.
+// CACM 1988) behind the At/AtArg/Cancel/Step API. The queue is an array
+// of "day" buckets, each holding the events of one width-sized slice of
+// simulated time, sorted by (time, insertion sequence). Insertion
+// hashes the event's time to its bucket and binary-inserts; popping
+// walks the calendar "day by day", firing events whose virtual day has
+// arrived. When a full rotation finds nothing (a sparse far-future
+// queue), a direct scan of all bucket heads locates the global minimum
+// and the calendar jumps there.
 //
 // Cancellation is lazy: Cancel only bumps the slot generation and drops
 // the live count; the stale entry stays in its bucket and is discarded
@@ -42,10 +42,11 @@ const (
 	calDefaultWidth = 1e-3
 )
 
-// calEntry is one pending event in a calendar bucket. Like the heap's
-// entry it carries the (time, sequence) sort key inline; it adds the
-// slot generation so lazily-cancelled entries are recognized as dead
-// without a separate tombstone structure.
+// calEntry is one pending event in a calendar bucket. It carries the
+// (time, sequence) sort key inline, so bucket searches never chase a
+// pointer into the slot table, plus the slot generation, so
+// lazily-cancelled entries are recognized as dead without a separate
+// tombstone structure.
 type calEntry struct {
 	at   float64
 	seq  uint64
@@ -88,12 +89,24 @@ func (s *Scheduler) calReset() {
 // sequence number, so among equal times the insertion point is after
 // every existing equal-time entry — FIFO for free.
 //
+// A bucket that always holds a later-year entry never drains, so its
+// consumed prefix b[:head] is reclaimed here: when the append would grow
+// the backing array, the unconsumed suffix slides to the front instead.
+// Bucket capacity therefore tracks the bucket's peak occupancy, not the
+// simulated duration.
+//
 //tfrc:hotpath
 func (s *Scheduler) calInsert(at float64, seq uint64, slot int32) {
 	c := &s.cal
 	idx := int(int64(at/c.width) & int64(len(c.buckets)-1))
 	b := c.buckets[idx]
-	lo, hi := int(c.heads[idx]), len(b)
+	h := int(c.heads[idx])
+	if len(b) == cap(b) && h > 0 {
+		b = b[:copy(b, b[h:])]
+		h = 0
+		c.heads[idx] = 0
+	}
+	lo, hi := h, len(b)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
 		if at < b[mid].at {
@@ -171,13 +184,14 @@ func (s *Scheduler) calFind() (int, bool) {
 	return best, true
 }
 
-// calPop removes and returns the earliest pending entry.
+// calPop removes the earliest pending entry and returns its slot and
+// firing time.
 //
 //tfrc:hotpath
-func (s *Scheduler) calPop() (calEntry, bool) {
+func (s *Scheduler) calPop() (int32, float64, bool) {
 	idx, ok := s.calFind()
 	if !ok {
-		return calEntry{}, false
+		return 0, 0, false
 	}
 	c := &s.cal
 	b := c.buckets[idx]
@@ -193,7 +207,7 @@ func (s *Scheduler) calPop() (calEntry, bool) {
 	if c.live < len(c.buckets)/8 && len(c.buckets) > calMinBuckets {
 		s.calResize()
 	}
-	return e, true
+	return e.slot, e.at, true
 }
 
 // calPeek returns the firing time of the earliest pending entry.
@@ -206,26 +220,6 @@ func (s *Scheduler) calPeek() (float64, bool) {
 	}
 	c := &s.cal
 	return c.buckets[idx][c.heads[idx]].at, true
-}
-
-// stepCal is Step's calendar backend: pop, advance the clock, fire.
-//
-//tfrc:hotpath
-func (s *Scheduler) stepCal() bool {
-	e, ok := s.calPop()
-	if !ok {
-		return false
-	}
-	s.now = e.at
-	ev := &s.slots[e.slot]
-	fn, afn, arg := ev.fn, ev.afn, ev.arg
-	s.recycle(e.slot)
-	if afn != nil {
-		afn(arg)
-	} else if fn != nil {
-		fn()
-	}
-	return true
 }
 
 // calResize rebuilds the calendar for the current live population:

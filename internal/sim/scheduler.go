@@ -1,13 +1,13 @@
 // Package sim provides a deterministic discrete-event simulation engine:
-// an event scheduler with selectable queue backends (an adaptive
-// calendar queue by default, a flat 4-ary heap via NewSchedulerWith), a
-// simulation clock, cancellable timers with optional coarse batching on
-// a timer wheel, and seeded random-variate helpers.
+// an event scheduler over an adaptive calendar queue, a simulation
+// clock, cancellable timers with optional coarse batching on a timer
+// wheel, a chunked value slab for scheduler-attached object arenas, and
+// seeded random-variate helpers.
 //
 // The engine is single-threaded by design. Determinism comes from three
-// properties: events fire in (time, insertion-sequence) order regardless
-// of queue backend, all randomness is drawn from explicitly seeded
-// sources, and no wall-clock time is consulted anywhere.
+// properties: events fire in (time, insertion-sequence) order, all
+// randomness is drawn from explicitly seeded sources, and no wall-clock
+// time is consulted anywhere.
 package sim
 
 import (
@@ -19,30 +19,14 @@ import (
 
 // event is one scheduled callback. Events live inline in the scheduler's
 // slot table — callers never hold them; At and After hand out
-// generation-checked Handles carrying the slot index instead.
+// generation-checked Handles carrying the slot index instead. A slot is
+// pending exactly while its generation matches the one it was queued
+// with: firing and cancelling both recycle it, which bumps gen.
 type event struct {
 	gen uint64  // bumped on every recycle; stale Handles don't match
-	pos int32   // heap: index into the order array; calendar: 0 when queued; -1 when not queued
-	at  float64 // firing time, kept here so Handle.Time works on any queue backend
-	fn  func()
-	afn func(any) // arg-carrying variant, used by the packet hot path
+	at  float64 // firing time, kept here so Handle.Time needs no queue lookup
+	fn  func(any)
 	arg any
-}
-
-// entry is one element of the flat 4-ary min-heap. The sort key (time,
-// then insertion sequence for FIFO among equal times) is kept inline so
-// sift comparisons never chase a pointer into the slot table.
-type entry struct {
-	at   float64
-	seq  uint64
-	slot int32
-}
-
-func entryLess(a, b *entry) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
 }
 
 // Handle refers to one scheduled firing of an event. The zero Handle is
@@ -76,53 +60,20 @@ func (h Handle) Scheduled() bool {
 	if h.s == nil || h.epoch != h.s.epoch {
 		return false
 	}
-	e := &h.s.slots[h.slot]
-	return e.gen == h.gen && e.pos >= 0
+	return h.s.slots[h.slot].gen == h.gen
 }
 
-// SchedulerQueue selects the pending-event queue backend of a
-// Scheduler. Both backends implement identical (time, insertion-
-// sequence) firing order, so simulation results are bit-identical under
-// either; they differ only in cost profile across event populations.
-type SchedulerQueue int32
-
-const (
-	// QueueHeap4 is the flat 4-ary min-heap: O(log n) insert/pop with
-	// very small constants and no tuning state.
-	QueueHeap4 SchedulerQueue = iota
-	// QueueCalendar is the adaptive calendar queue: O(1) expected
-	// insert/pop under the uniform event-spacing typical of packet
-	// simulations, at the price of adaptive resizing state.
-	QueueCalendar
-)
-
-// DefaultSchedulerQueue is the backend NewScheduler uses.
-//
-// Verdict (2026-08, BenchmarkSchedulerEventsPerSecond / -Queues, 1-core
-// x86-64): the calendar queue wins the standing populations the
-// simulator actually runs at — 13.9M vs 7.7M events/sec at 1k pending,
-// 5.2M vs 3.4M at 100k — and lifts the end-to-end 8-flow scenario bench
-// from ~1.03M to ~1.29M pkts/sec. The 4-ary heap only overtakes at ~1M
-// pending events (2.2M vs 1.6M events/sec), a population the timer
-// wheel keeps million-flow scenarios well below. The calendar queue is
-// therefore the default; the heap stays selectable via NewSchedulerWith
-// for workloads that genuinely hold a million concurrent events.
-var DefaultSchedulerQueue = QueueCalendar
-
-// Scheduler owns the simulation clock and the pending event queue —
-// either a flat 4-ary min-heap of inline entries or a calendar queue
-// (see SchedulerQueue), both ordered by (time, sequence) and backed by
-// a slot table that gives every pending event a stable index for
-// generation-checked Handles. No interface boxing, no per-event
-// allocation: steady-state scheduling touches only flat slices.
+// Scheduler owns the simulation clock and the pending event queue — a
+// calendar queue ordered by (time, sequence) — backed by a slot table
+// that gives every pending event a stable index for generation-checked
+// Handles. No interface boxing, no per-event allocation: steady-state
+// scheduling touches only flat slices.
 // The zero value is not ready for use; call NewScheduler.
 type Scheduler struct {
 	now     float64
 	seq     uint64
-	epoch   uint64         // bumped by Reset; stale-epoch Handles are inert
-	queue   SchedulerQueue // backend in use; fixed between Resets
-	heap    []entry        //tfrc:keep value-only heap backing, truncated on Reset/reuse
-	cal     calQueue       //tfrc:keep value-only calendar buckets, truncated on Reset/reuse
+	epoch   uint64   // bumped by Reset; stale-epoch Handles are inert
+	cal     calQueue //tfrc:keep value-only calendar buckets, truncated on Reset/reuse
 	slots   []event
 	free    []int32 //tfrc:keep recycled slot indices, value-only backing
 	stopped bool
@@ -137,10 +88,11 @@ type Scheduler struct {
 }
 
 // Arena is a scheduler-attached memory arena: a package-private pool of
-// that package's per-scenario objects (agents, monitors, networks). The
-// scheduler calls ResetArena at every Reset, which marks every object
-// the arena ever handed out as free again — the whole working set of the
-// previous scenario becomes the construction stock of the next one.
+// that package's per-scenario objects (agents, monitors, networks),
+// usually a struct of Slab fields. The scheduler calls ResetArena at
+// every Reset, which marks every object the arena ever handed out as
+// free again — the whole working set of the previous scenario becomes
+// the construction stock of the next one.
 type Arena interface{ ResetArena() }
 
 // ArenaID names one package's arena slot on every scheduler. IDs are
@@ -173,24 +125,13 @@ func (s *Scheduler) Arena(id ArenaID, mk func() Arena) Arena {
 // slices keeps per-cell setup out of the allocator.
 var schedMem = sync.Pool{New: func() any { return new(Scheduler) }}
 
-// NewScheduler returns a scheduler with the clock at zero, using the
-// DefaultSchedulerQueue backend. Its backing arrays may be recycled
-// from a previously Released scheduler.
+// NewScheduler returns a scheduler with the clock at zero. Its backing
+// arrays may be recycled from a previously Released scheduler.
 func NewScheduler() *Scheduler {
-	return NewSchedulerWith(DefaultSchedulerQueue)
-}
-
-// NewSchedulerWith returns a scheduler using the given queue backend.
-// Both backends produce bit-identical simulations; see SchedulerQueue.
-func NewSchedulerWith(q SchedulerQueue) *Scheduler {
 	s := schedMem.Get().(*Scheduler)
-	s.queue = q
 	s.Reset()
 	return s
 }
-
-// Queue reports which queue backend the scheduler uses.
-func (s *Scheduler) Queue() SchedulerQueue { return s.queue }
 
 // Reset rewinds the scheduler for a fresh scenario: the clock returns to
 // zero, every pending event is dropped (and its callback reference
@@ -202,16 +143,12 @@ func (s *Scheduler) Queue() SchedulerQueue { return s.queue }
 func (s *Scheduler) Reset() {
 	for i := range s.slots {
 		s.slots[i].fn = nil
-		s.slots[i].afn = nil
 		s.slots[i].arg = nil
 	}
 	s.now = 0
 	s.seq = 0
 	s.epoch++
-	s.heap = s.heap[:0]
-	if s.cal.buckets != nil || s.queue == QueueCalendar {
-		s.calReset()
-	}
+	s.calReset()
 	for _, w := range s.wheels {
 		w.reset()
 	}
@@ -243,7 +180,6 @@ func (s *Scheduler) Release() {
 	}
 	for i := range s.slots {
 		s.slots[i].fn = nil
-		s.slots[i].afn = nil
 		s.slots[i].arg = nil
 	}
 	for _, w := range s.wheels {
@@ -256,31 +192,13 @@ func (s *Scheduler) Release() {
 func (s *Scheduler) Now() float64 { return s.now }
 
 // Len returns the number of pending events.
-func (s *Scheduler) Len() int {
-	if s.queue == QueueCalendar {
-		return s.cal.live
-	}
-	return len(s.heap)
-}
+func (s *Scheduler) Len() int { return s.cal.live }
 
-// peek returns the firing time of the earliest pending event.
+// alloc validates t, claims a slot for fn(arg), and files it in the
+// calendar.
 //
 //tfrc:hotpath
-func (s *Scheduler) peek() (float64, bool) {
-	if s.queue == QueueCalendar {
-		return s.calPeek()
-	}
-	if len(s.heap) == 0 {
-		return 0, false
-	}
-	return s.heap[0].at, true
-}
-
-// alloc validates t, claims a slot, and queues its entry on the active
-// backend.
-//
-//tfrc:hotpath
-func (s *Scheduler) alloc(t float64) int32 {
+func (s *Scheduler) alloc(t float64, fn func(any), arg any) int32 {
 	if t < s.now {
 		panic(fmt.Sprintf("sim: scheduling event at %.9f before now %.9f", t, s.now))
 	}
@@ -295,17 +213,12 @@ func (s *Scheduler) alloc(t float64) int32 {
 		slot = int32(len(s.slots))
 		s.slots = append(s.slots, event{}) //tfrclint:allow hotpathalloc amortized slab growth
 	}
-	s.slots[slot].at = t
-	seq := s.seq
+	e := &s.slots[slot]
+	e.at = t
+	e.fn = fn
+	e.arg = arg
+	s.calInsert(t, s.seq, slot)
 	s.seq++
-	if s.queue == QueueCalendar {
-		s.slots[slot].pos = 0 // queued marker; the calendar has no order array
-		s.calInsert(t, seq, slot)
-		return slot
-	}
-	e := entry{at: t, seq: seq, slot: slot}
-	s.heap = append(s.heap, e) //tfrclint:allow hotpathalloc amortized heap growth
-	s.siftUp(len(s.heap) - 1)
 	return slot
 }
 
@@ -316,92 +229,26 @@ func (s *Scheduler) alloc(t float64) int32 {
 func (s *Scheduler) recycle(slot int32) {
 	e := &s.slots[slot]
 	e.fn = nil
-	e.afn = nil
 	e.arg = nil
 	e.gen++
-	e.pos = -1
 	s.free = append(s.free, slot) //tfrclint:allow hotpathalloc amortized free-list growth
 }
 
-// siftUp moves heap[i] toward the root until its parent is not larger.
-//
-//tfrc:hotpath
-func (s *Scheduler) siftUp(i int) {
-	e := s.heap[i]
-	for i > 0 {
-		p := (i - 1) >> 2
-		if !entryLess(&e, &s.heap[p]) {
-			break
-		}
-		s.heap[i] = s.heap[p]
-		s.slots[s.heap[i].slot].pos = int32(i)
-		i = p
-	}
-	s.heap[i] = e
-	s.slots[e.slot].pos = int32(i)
-}
-
-// siftDown moves heap[i] toward the leaves until no child is smaller.
-//
-//tfrc:hotpath
-func (s *Scheduler) siftDown(i int) {
-	n := len(s.heap)
-	e := s.heap[i]
-	for {
-		c := i<<2 + 1
-		if c >= n {
-			break
-		}
-		end := c + 4
-		if end > n {
-			end = n
-		}
-		m := c
-		for j := c + 1; j < end; j++ {
-			if entryLess(&s.heap[j], &s.heap[m]) {
-				m = j
-			}
-		}
-		if !entryLess(&s.heap[m], &e) {
-			break
-		}
-		s.heap[i] = s.heap[m]
-		s.slots[s.heap[i].slot].pos = int32(i)
-		i = m
-	}
-	s.heap[i] = e
-	s.slots[e.slot].pos = int32(i)
-}
-
-// remove deletes the heap entry at index i, restoring heap order.
-//
-//tfrc:hotpath
-func (s *Scheduler) remove(i int) {
-	last := len(s.heap) - 1
-	if i == last {
-		s.heap = s.heap[:last]
-		return
-	}
-	s.heap[i] = s.heap[last]
-	s.heap = s.heap[:last]
-	s.siftDown(i)
-	if s.slots[s.heap[i].slot].pos == int32(i) && i > 0 {
-		s.siftUp(i)
-	}
-}
+// callFn is the trampoline behind At and Timer.Init: the func() rides in
+// the arg slot. A func value is pointer-shaped, so boxing it allocates
+// nothing.
+func callFn(x any) { x.(func())() }
 
 // At schedules fn to run at absolute time t. Scheduling in the past
 // panics: it always indicates a protocol bug rather than a recoverable
 // condition.
 func (s *Scheduler) At(t float64, fn func()) Handle {
-	slot := s.alloc(t)
-	s.slots[slot].fn = fn
-	return Handle{s: s, slot: slot, gen: s.slots[slot].gen, epoch: s.epoch}
+	return s.AtArg(t, callFn, fn)
 }
 
 // After schedules fn to run d seconds from now.
 func (s *Scheduler) After(d float64, fn func()) Handle {
-	return s.At(s.now+d, fn)
+	return s.AtArg(s.now+d, callFn, fn)
 }
 
 // AtArg schedules fn(arg) at absolute time t. Unlike At it needs no
@@ -410,11 +257,8 @@ func (s *Scheduler) After(d float64, fn func()) Handle {
 //
 //tfrc:hotpath
 func (s *Scheduler) AtArg(t float64, fn func(any), arg any) Handle {
-	slot := s.alloc(t)
-	e := &s.slots[slot]
-	e.afn = fn
-	e.arg = arg
-	return Handle{s: s, slot: slot, gen: e.gen, epoch: s.epoch}
+	slot := s.alloc(t, fn, arg)
+	return Handle{s: s, slot: slot, gen: s.slots[slot].gen, epoch: s.epoch}
 }
 
 // AfterArg schedules fn(arg) to run d seconds from now.
@@ -428,19 +272,15 @@ func (s *Scheduler) AfterArg(d float64, fn func(any), arg any) Handle {
 // or stale handle is a no-op, which lets protocol code keep a single
 // timer handle without tracking liveness.
 //
+// Cancellation is lazy: the generation bump in recycle marks the
+// calendar entry dead, and the scan discards it when reached.
+//
 //tfrc:hotpath
 func (s *Scheduler) Cancel(h Handle) {
 	if !h.Scheduled() {
 		return
 	}
-	if s.queue == QueueCalendar {
-		// Lazy: the generation bump in recycle marks the calendar entry
-		// dead; the scan discards it when reached.
-		s.cal.live--
-		s.recycle(h.slot)
-		return
-	}
-	s.remove(int(s.slots[h.slot].pos))
+	s.cal.live--
 	s.recycle(h.slot)
 }
 
@@ -449,30 +289,15 @@ func (s *Scheduler) Cancel(h Handle) {
 //
 //tfrc:hotpath
 func (s *Scheduler) Step() bool {
-	if s.queue == QueueCalendar {
-		return s.stepCal()
-	}
-	if len(s.heap) == 0 {
+	slot, at, ok := s.calPop()
+	if !ok {
 		return false
 	}
-	top := s.heap[0]
-	last := len(s.heap) - 1
-	if last > 0 {
-		s.heap[0] = s.heap[last]
-		s.heap = s.heap[:last]
-		s.siftDown(0)
-	} else {
-		s.heap = s.heap[:0]
-	}
-	s.now = top.at
-	e := &s.slots[top.slot]
-	fn, afn, arg := e.fn, e.afn, e.arg
-	s.recycle(top.slot)
-	if afn != nil {
-		afn(arg)
-	} else if fn != nil {
-		fn()
-	}
+	s.now = at
+	e := &s.slots[slot]
+	fn, arg := e.fn, e.arg
+	s.recycle(slot)
+	fn(arg)
 	return true
 }
 
@@ -491,7 +316,7 @@ func (s *Scheduler) Run() {
 func (s *Scheduler) RunUntil(end float64) {
 	s.stopped = false
 	for !s.stopped {
-		t, ok := s.peek()
+		t, ok := s.calPeek()
 		if !ok || t > end {
 			break
 		}

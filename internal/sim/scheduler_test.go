@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -330,7 +331,7 @@ func TestRandBernoulli(t *testing.T) {
 	}
 }
 
-// --- Differential test: flat 4-ary heap vs a naive sorted-slice queue ---
+// --- Differential test: calendar queue vs a naive sorted-slice queue ---
 
 // refEvent is one event in the reference implementation: a slice kept
 // sorted by (time, sequence) with linear insertion, too slow to use but
@@ -381,168 +382,176 @@ func (q *refQueue) pop() (refEvent, bool) {
 	return e, true
 }
 
-// queueKinds enumerates both queue backends for parameterized tests.
-var queueKinds = []struct {
-	name string
-	kind SchedulerQueue
-}{
-	{"heap4", QueueHeap4},
-	{"calendar", QueueCalendar},
+// lockstep drives a Scheduler and the reference queue through the same
+// operations and fails the test at the first disagreement.
+type lockstep struct {
+	t      *testing.T
+	name   string
+	s      *Scheduler
+	ref    refQueue
+	fired  []int
+	nextID int
 }
 
-// TestSchedulerDifferential drives each queue backend (4-ary heap and
-// calendar queue) and the naive sorted-slice reference through a long
-// randomized interleaving of At, After, Cancel, stale-handle Cancel,
-// and Step, checking that every firing matches the reference in both
-// identity and time, that Scheduled agrees with the reference's
-// liveness, and that stale handles never disturb live events.
-func TestSchedulerDifferential(t *testing.T) {
-	for _, qk := range queueKinds {
-		t.Run(qk.name, func(t *testing.T) { testSchedulerDifferential(t, qk.kind) })
+// issued is one event scheduled through a lockstep.
+type issued struct {
+	h   Handle
+	seq uint64
+	id  int
+}
+
+func (l *lockstep) record(x any) { l.fired = append(l.fired, x.(int)) }
+
+// schedule queues one event at absolute time at in both queues, through
+// At (the func() form) or AtArg (the arg form).
+func (l *lockstep) schedule(at float64, closure bool) issued {
+	id := l.nextID
+	l.nextID++
+	var h Handle
+	if closure {
+		h = l.s.At(at, func() { l.fired = append(l.fired, id) })
+	} else {
+		h = l.s.AtArg(at, l.record, id)
+	}
+	return issued{h: h, seq: l.ref.schedule(at, id), id: id}
+}
+
+// cancel cancels x in both queues; x may be live or stale.
+func (l *lockstep) cancel(x issued) {
+	l.s.Cancel(x.h)
+	l.ref.cancel(x.seq)
+}
+
+// step fires the earliest event in both queues and checks identity and
+// time. It returns the fired id, or -1 once both are empty.
+func (l *lockstep) step() int {
+	l.t.Helper()
+	l.fired = l.fired[:0]
+	want, ok := l.ref.pop()
+	if got := l.s.Step(); got != ok {
+		l.t.Fatalf("%s: Step = %v, reference = %v", l.name, got, ok)
+	}
+	if !ok {
+		return -1
+	}
+	if len(l.fired) != 1 || l.fired[0] != want.id {
+		l.t.Fatalf("%s: fired %v, reference expects id %d", l.name, l.fired, want.id)
+	}
+	if l.s.Now() != want.at {
+		l.t.Fatalf("%s: clock %v after firing, reference says %v", l.name, l.s.Now(), want.at)
+	}
+	return want.id
+}
+
+func (l *lockstep) checkLen() {
+	l.t.Helper()
+	if l.s.Len() != len(l.ref.events) {
+		l.t.Fatalf("%s: queue length %d, reference %d", l.name, l.s.Len(), len(l.ref.events))
 	}
 }
 
-func testSchedulerDifferential(t *testing.T, kind SchedulerQueue) {
-	for seed := int64(1); seed <= 5; seed++ {
-		r := rand.New(rand.NewSource(seed))
-		s := NewSchedulerWith(kind)
-		ref := &refQueue{}
+// drain fires everything left: the remaining order must match exactly.
+func (l *lockstep) drain() {
+	l.t.Helper()
+	for l.step() >= 0 {
+	}
+}
 
-		type live struct {
-			h   Handle
-			seq uint64
-			id  int
+// TestSchedulerDifferential drives the calendar queue and the naive
+// sorted-slice reference in lockstep, checking that every firing matches
+// the reference in both identity and time and that the pending count
+// agrees after every operation. Two inputs:
+//
+//   - mixed: a randomized interleaving of At, AtArg, Cancel, stale-handle
+//     Cancel, and Step (seeds 1–5), which also checks that Scheduled
+//     agrees with the reference's liveness and that stale handles never
+//     disturb live events;
+//   - churn: 20k operations at seed 99 with a short 3 s horizon and
+//     cancels drawn from every handle ever issued, live or stale — the
+//     dense re-arm pattern of the packet hot path.
+func TestSchedulerDifferential(t *testing.T) {
+	t.Run("mixed", func(t *testing.T) {
+		for seed := int64(1); seed <= 5; seed++ {
+			differentialMixed(t, seed)
 		}
-		var pending []live
-		var stale []Handle
-		var fired []int
-		nextID := 0
+	})
+	t.Run("churn", func(t *testing.T) {
+		r := rand.New(rand.NewSource(99))
+		l := &lockstep{t: t, name: "churn seed 99", s: NewScheduler()}
+		var handles []issued
+		for op := 0; op < 20000; op++ {
+			switch k := r.Intn(10); {
+			case k < 5:
+				handles = append(handles, l.schedule(l.s.Now()+r.Float64()*3, false))
+			case k < 7 && len(handles) > 0:
+				l.cancel(handles[r.Intn(len(handles))])
+			default:
+				l.step()
+			}
+			l.checkLen()
+		}
+		l.drain()
+	})
+}
 
-		schedule := func() {
+func differentialMixed(t *testing.T, seed int64) {
+	r := rand.New(rand.NewSource(seed))
+	l := &lockstep{t: t, name: fmt.Sprintf("seed %d", seed), s: NewScheduler()}
+	s := l.s
+	var pending []issued
+	var stale []Handle
+
+	for op := 0; op < 3000; op++ {
+		switch k := r.Intn(10); {
+		case k < 4:
 			at := s.Now() + r.Float64()*10
 			if r.Intn(8) == 0 {
 				at = s.Now() // equal-time events exercise FIFO tie-break
 			}
-			id := nextID
-			nextID++
-			var h Handle
-			if r.Intn(2) == 0 {
-				h = s.At(at, func() { fired = append(fired, id) })
-			} else {
-				h = s.AfterArg(at-s.Now(), func(x any) { fired = append(fired, x.(int)) }, id)
+			pending = append(pending, l.schedule(at, r.Intn(2) == 0))
+		case k < 6 && len(pending) > 0:
+			// Cancel a random live event in both implementations.
+			i := r.Intn(len(pending))
+			p := pending[i]
+			if !p.h.Scheduled() {
+				t.Fatalf("seed %d: live handle id %d reports not Scheduled", seed, p.id)
 			}
-			seq := ref.schedule(at, id)
-			pending = append(pending, live{h: h, seq: seq, id: id})
-		}
-
-		step := func() {
-			fired = fired[:0]
-			want, ok := ref.pop()
-			if gotOK := s.Step(); gotOK != ok {
-				t.Fatalf("seed %d: Step = %v, reference = %v", seed, gotOK, ok)
+			l.cancel(p)
+			stale = append(stale, p.h)
+			pending = append(pending[:i], pending[i+1:]...)
+		case k < 7 && len(stale) > 0:
+			// A stale Cancel must be a no-op on live state.
+			h := stale[r.Intn(len(stale))]
+			if h.Scheduled() {
+				t.Fatalf("seed %d: stale handle reports Scheduled", seed)
 			}
-			if !ok {
-				return
+			before := s.Len()
+			s.Cancel(h)
+			if s.Len() != before {
+				t.Fatalf("seed %d: stale Cancel changed queue length %d -> %d", seed, before, s.Len())
 			}
-			if len(fired) != 1 || fired[0] != want.id {
-				t.Fatalf("seed %d: fired %v, reference expects id %d", seed, fired, want.id)
-			}
-			if s.Now() != want.at {
-				t.Fatalf("seed %d: clock %v after firing, reference says %v", seed, s.Now(), want.at)
-			}
+		default:
+			id := l.step()
 			for i, p := range pending {
-				if p.id == want.id {
+				if p.id == id {
 					stale = append(stale, p.h)
 					pending = append(pending[:i], pending[i+1:]...)
 					break
 				}
 			}
 		}
-
-		for op := 0; op < 3000; op++ {
-			switch k := r.Intn(10); {
-			case k < 4:
-				schedule()
-			case k < 6 && len(pending) > 0:
-				// Cancel a random live event in both implementations.
-				i := r.Intn(len(pending))
-				p := pending[i]
-				if !p.h.Scheduled() {
-					t.Fatalf("seed %d: live handle id %d reports not Scheduled", seed, p.id)
-				}
-				s.Cancel(p.h)
-				ref.cancel(p.seq)
-				stale = append(stale, p.h)
-				pending = append(pending[:i], pending[i+1:]...)
-			case k < 7 && len(stale) > 0:
-				// A stale Cancel must be a no-op on live state.
-				h := stale[r.Intn(len(stale))]
-				if h.Scheduled() {
-					t.Fatalf("seed %d: stale handle reports Scheduled", seed)
-				}
-				before := s.Len()
-				s.Cancel(h)
-				if s.Len() != before {
-					t.Fatalf("seed %d: stale Cancel changed queue length %d -> %d", seed, before, s.Len())
-				}
-			default:
-				step()
-			}
-			if s.Len() != len(ref.events) {
-				t.Fatalf("seed %d: queue length %d, reference %d", seed, s.Len(), len(ref.events))
-			}
-		}
-		// Drain: the remaining firing order must match exactly.
-		for {
-			want, ok := ref.pop()
-			fired = fired[:0]
-			if gotOK := s.Step(); gotOK != ok {
-				t.Fatalf("seed %d: drain Step = %v, reference = %v", seed, gotOK, ok)
-			}
-			if !ok {
-				break
-			}
-			if len(fired) != 1 || fired[0] != want.id {
-				t.Fatalf("seed %d: drain fired %v, reference expects %d", seed, fired, want.id)
-			}
-		}
+		l.checkLen()
 	}
+	l.drain()
 }
 
 // TestSchedulerReleaseReuse checks that a scheduler built from recycled
-// backing arrays behaves identically to a fresh one, for both queue
-// backends — including a backend switch across the pool round-trip.
+// backing arrays behaves identically to a fresh one, whether it is
+// recycled through the shared pool (Release, NewScheduler) or in place
+// by its owner (Reset on a pinned scheduler), and when the two paths
+// alternate.
 func TestSchedulerReleaseReuse(t *testing.T) {
-	for _, qk := range queueKinds {
-		t.Run(qk.name, func(t *testing.T) { testSchedulerReleaseReuse(t, qk.kind) })
-	}
-	// Alternating backends through the shared pool must reconfigure
-	// cleanly: a released calendar scheduler may come back as a heap
-	// scheduler and vice versa.
-	t.Run("alternating", func(t *testing.T) {
-		for i := 0; i < 6; i++ {
-			kind := queueKinds[i%2].kind
-			s := NewSchedulerWith(kind)
-			if s.Queue() != kind {
-				t.Fatalf("round %d: queue = %v, want %v", i, s.Queue(), kind)
-			}
-			var got []float64
-			for _, at := range []float64{3, 1, 2} {
-				at := at
-				s.At(at, func() { got = append(got, at) })
-			}
-			s.Run()
-			if len(got) != 3 || !sort.Float64sAreSorted(got) {
-				t.Fatalf("round %d (%v): fired %v", i, kind, got)
-			}
-			s.Release()
-		}
-	})
-}
-
-func testSchedulerReleaseReuse(t *testing.T, kind SchedulerQueue) {
-	run := func() []float64 {
-		s := NewSchedulerWith(kind)
+	run := func(s *Scheduler) []float64 {
 		var got []float64
 		for _, at := range []float64{3, 1, 2, 1, 5} {
 			at := at
@@ -551,15 +560,37 @@ func testSchedulerReleaseReuse(t *testing.T, kind SchedulerQueue) {
 		h := s.At(4, func() { got = append(got, -1) })
 		s.Cancel(h)
 		s.Run()
-		s.Release()
 		return got
 	}
-	first := run()
-	for i := 0; i < 3; i++ {
-		if again := run(); !sort.Float64sAreSorted(again) || len(again) != len(first) {
-			t.Fatalf("recycled scheduler run %d differs: %v vs %v", i, again, first)
+	want := []float64{1, 1, 2, 3, 5}
+	check := func(round int, got []float64) {
+		t.Helper()
+		if !slices.Equal(got, want) {
+			t.Fatalf("recycled scheduler round %d fired %v, want %v", round, got, want)
 		}
 	}
+	t.Run("pool", func(t *testing.T) {
+		for i := 0; i < 4; i++ {
+			s := NewScheduler()
+			check(i, run(s))
+			s.Release()
+		}
+	})
+	t.Run("alternating", func(t *testing.T) {
+		pinned := NewScheduler()
+		pinned.Pin()
+		for i := 0; i < 6; i++ {
+			if i%2 == 0 {
+				s := NewScheduler()
+				check(i, run(s))
+				s.Release()
+				continue
+			}
+			pinned.Reset()
+			check(i, run(pinned))
+			pinned.Release() // a no-op: the owner keeps it
+		}
+	})
 }
 
 // TestHandlesFromBeforeResetAreInert pins the epoch guard: a Handle
@@ -570,79 +601,41 @@ func testSchedulerReleaseReuse(t *testing.T, kind SchedulerQueue) {
 // pair for an unrelated event (which a stale Cancel would otherwise
 // kill).
 func TestHandlesFromBeforeResetAreInert(t *testing.T) {
-	for _, qk := range queueKinds {
-		t.Run(qk.name, func(t *testing.T) { testHandlesFromBeforeResetAreInert(t, qk.kind) })
-	}
-}
+	// The scheduler keeps its pending events in a calendar queue.
+	t.Run("calendar", func(t *testing.T) {
+		s := NewScheduler()
+		// Grow the slot table, keeping a pending handle at a high slot and
+		// one at slot 0 with generation 0 — the aliasing candidates.
+		var stale []Handle
+		for i := 0; i < 32; i++ {
+			stale = append(stale, s.At(float64(i+1), func() {}))
+		}
 
-func testHandlesFromBeforeResetAreInert(t *testing.T, kind SchedulerQueue) {
-	s := NewSchedulerWith(kind)
-	// Grow the slot table, keeping a pending handle at a high slot and
-	// one at slot 0 with generation 0 — the aliasing candidates.
-	var stale []Handle
-	for i := 0; i < 32; i++ {
-		stale = append(stale, s.At(float64(i+1), func() {}))
-	}
-
-	s.Reset()
-	if stale[7].Scheduled() {
-		t.Fatal("pre-Reset handle still reports Scheduled")
-	}
-	if got := stale[7].Time(); got != 0 {
-		t.Fatalf("pre-Reset handle Time = %v, want 0", got)
-	}
-	// One fresh event: its slot 0 / generation 0 collides with stale[0]'s
-	// identity, and every higher stale slot exceeds the new table.
-	fired := false
-	s.At(1, func() { fired = true })
-	for _, h := range stale {
-		s.Cancel(h) // must not panic and must not cancel the new event
-	}
-	s.Run()
-	if !fired {
-		t.Fatal("stale pre-Reset Cancel killed an unrelated post-Reset event")
-	}
-}
-
-// TestSchedulerQueueEquivalence runs one random churn workload through
-// both backends and requires bit-identical firing sequences — the
-// property that lets the default backend change without perturbing any
-// golden output.
-func TestSchedulerQueueEquivalence(t *testing.T) {
-	workload := func(kind SchedulerQueue) []float64 {
-		s := NewSchedulerWith(kind)
-		r := rand.New(rand.NewSource(99))
-		var fired []float64
-		rec := func(any) { fired = append(fired, s.Now()) }
-		var handles []Handle
-		for op := 0; op < 20000; op++ {
-			switch k := r.Intn(10); {
-			case k < 5:
-				handles = append(handles, s.AfterArg(r.Float64()*3, rec, nil))
-			case k < 7 && len(handles) > 0:
-				s.Cancel(handles[r.Intn(len(handles))])
-			default:
-				s.Step()
-			}
+		s.Reset()
+		if stale[7].Scheduled() {
+			t.Fatal("pre-Reset handle still reports Scheduled")
+		}
+		if got := stale[7].Time(); got != 0 {
+			t.Fatalf("pre-Reset handle Time = %v, want 0", got)
+		}
+		// One fresh event: its slot 0 / generation 0 collides with stale[0]'s
+		// identity, and every higher stale slot exceeds the new table.
+		fired := false
+		s.At(1, func() { fired = true })
+		for _, h := range stale {
+			s.Cancel(h) // must not panic and must not cancel the new event
 		}
 		s.Run()
-		return fired
-	}
-	a, b := workload(QueueHeap4), workload(QueueCalendar)
-	if len(a) != len(b) {
-		t.Fatalf("fired %d events on heap, %d on calendar", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("firing %d: heap at %v, calendar at %v", i, a[i], b[i])
+		if !fired {
+			t.Fatal("stale pre-Reset Cancel killed an unrelated post-Reset event")
 		}
-	}
+	})
 }
 
 // TestCalendarResizeStress pushes the calendar through several grow and
 // shrink cycles while checking global firing order.
 func TestCalendarResizeStress(t *testing.T) {
-	s := NewSchedulerWith(QueueCalendar)
+	s := NewScheduler()
 	r := rand.New(rand.NewSource(5))
 	last := -1.0
 	n := 0
@@ -672,7 +665,7 @@ func TestCalendarResizeStress(t *testing.T) {
 
 // TestCalendarRunUntil pins RunUntil's peek path on the calendar.
 func TestCalendarRunUntil(t *testing.T) {
-	s := NewSchedulerWith(QueueCalendar)
+	s := NewScheduler()
 	var fired []float64
 	for _, at := range []float64{1, 2, 3, 4} {
 		at := at
@@ -685,6 +678,46 @@ func TestCalendarRunUntil(t *testing.T) {
 	s.RunUntil(10)
 	if len(fired) != 4 || s.Now() != 10 {
 		t.Fatalf("RunUntil(10): fired %v, clock %v", fired, s.Now())
+	}
+}
+
+// TestCalendarBucketCapacityIndependentOfDuration pins the reclamation
+// of consumed bucket prefixes. One far-future event per bucket (a long
+// timer) keeps every bucket from ever draining, while a standing churn
+// of periodic events, each re-arming two calendar years ahead, files new
+// entries behind it. Without reclamation every bucket's capacity grows
+// with the number of events ever filed into it, i.e. with simulated
+// time; with it, capacity tracks the (periodic, hence bounded) peak
+// occupancy.
+func TestCalendarBucketCapacityIndependentOfDuration(t *testing.T) {
+	const (
+		pending = 250 // with the long timers, below the 2×256 grow trigger
+		period  = 0.5 // two calendar years of 256 × 1 ms days
+	)
+	bucketCap := func(duration float64) int {
+		s := new(Scheduler) // not from the pool: recycled buckets keep capacity
+		s.Reset()
+		for i := 0; i < calMinBuckets; i++ {
+			s.AtArg(1e6+float64(i)*calDefaultWidth, func(any) {}, nil)
+		}
+		var rearm func(any)
+		rearm = func(any) { s.AfterArg(period, rearm, nil) }
+		for i := 0; i < pending; i++ {
+			s.AtArg(period*float64(i)/pending, rearm, nil)
+		}
+		s.RunUntil(duration)
+		if len(s.cal.buckets) != calMinBuckets {
+			t.Fatalf("calendar resized to %d buckets; the test needs the resting size", len(s.cal.buckets))
+		}
+		total := 0
+		for _, b := range s.cal.buckets {
+			total += cap(b)
+		}
+		return total
+	}
+	short, long := bucketCap(30), bucketCap(300)
+	if long > short {
+		t.Fatalf("summed bucket capacity grew with duration: %d entries after 30 s, %d after 300 s", short, long)
 	}
 }
 
@@ -726,29 +759,49 @@ func BenchmarkSchedulerEventsPerSecond(b *testing.B) {
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "events/sec")
 }
 
-// BenchmarkSchedulerQueues compares the two queue backends across
-// standing event populations (the decision benchmark behind
-// DefaultSchedulerQueue): hold N events pending, then measure
-// pop-one/push-one churn, the simulator's steady-state access pattern.
-func BenchmarkSchedulerQueues(b *testing.B) {
-	for _, qk := range queueKinds {
-		for _, pop := range []int{1_000, 100_000, 1_000_000} {
-			b.Run(fmt.Sprintf("%s/pop=%d", qk.name, pop), func(b *testing.B) {
-				s := NewSchedulerWith(qk.kind)
+// BenchmarkSchedulerPopulation measures the calendar queue across
+// standing event populations of 1k, 100k and 1M. Every event re-arms
+// itself when it fires, so the population stays constant and each op is
+// one Step plus one insert. The rearm sub-cases add the timer-reset mix:
+// every op also cancels and re-arms one pending event, as the TCP RTO
+// does on every ACK, so lazily-cancelled tombstones accumulate in the
+// buckets.
+func BenchmarkSchedulerPopulation(b *testing.B) {
+	for _, pop := range []int{1_000, 100_000, 1_000_000} {
+		for _, mix := range []string{"churn", "rearm"} {
+			b.Run(fmt.Sprintf("pop=%d/%s", pop, mix), func(b *testing.B) {
+				s := NewScheduler()
 				s.Pin() // keep the 1M-population backing out of the shared pool
 				r := rand.New(rand.NewSource(1))
 				delays := make([]float64, 8192)
 				for i := range delays {
 					delays[i] = r.Float64()
 				}
-				fn := func(any) {}
-				for i := 0; i < pop; i++ {
-					s.AfterArg(delays[i%len(delays)], fn, nil)
+				next := 0
+				delay := func() float64 {
+					next++
+					return delays[next%len(delays)]
 				}
+				// Each event's arg is its own handle cell, so re-arming
+				// boxes a pointer and allocates nothing.
+				handles := make([]Handle, pop)
+				var fire func(any)
+				fire = func(x any) {
+					h := x.(*Handle)
+					*h = s.AfterArg(delay(), fire, h)
+				}
+				for i := range handles {
+					handles[i] = s.AfterArg(delay(), fire, &handles[i])
+				}
+				rearm := mix == "rearm"
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					s.AfterArg(delays[i%len(delays)], fn, nil)
+					if rearm {
+						h := &handles[i%pop]
+						s.Cancel(*h)
+						*h = s.AfterArg(delay(), fire, h)
+					}
 					s.Step()
 				}
 				b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "events/sec")

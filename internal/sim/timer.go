@@ -4,8 +4,8 @@ package sim
 // raw Event API so protocol code can re-arm a single logical timer (an RTO,
 // a feedback timer, a no-feedback timer) without tracking event handles.
 //
-// A Timer is designed to be embedded by value in agent structs: call Init
-// (or the allocation-free InitArg) before first use. The zero value is
+// A Timer is designed to be embedded by value in agent structs: call
+// InitArg (or Init, its func() form) before first use. The zero value is
 // unusable until initialized; NewTimer remains for callers that want a
 // standalone timer.
 //
@@ -17,8 +17,7 @@ package sim
 // million flows from meaning a million resident queue entries.
 type Timer struct {
 	sched *Scheduler
-	fn    func()
-	afn   func(any) // arg-carrying variant; used when fn is nil
+	fn    func(any)
 	arg   any
 	ev    Handle
 
@@ -39,13 +38,7 @@ func timerFireFn(x any) {
 // cleared by the caller (exact event pop or wheel tick processing).
 //
 //tfrc:hotpath
-func (t *Timer) fire() {
-	if t.afn != nil {
-		t.afn(t.arg)
-	} else {
-		t.fn()
-	}
-}
+func (t *Timer) fire() { t.fn(t.arg) }
 
 // NewTimer returns a stopped timer that runs fn when it expires.
 func NewTimer(s *Scheduler, fn func()) *Timer {
@@ -55,23 +48,14 @@ func NewTimer(s *Scheduler, fn func()) *Timer {
 }
 
 // Init prepares an embedded timer that runs fn when it expires.
-func (t *Timer) Init(s *Scheduler, fn func()) {
-	t.sched = s
-	t.fn = fn
-	t.afn = nil
-	t.arg = nil
-	t.ev = Handle{}
-	t.wheel = nil
-	t.wtick = -1
-}
+func (t *Timer) Init(s *Scheduler, fn func()) { t.InitArg(s, callFn, fn) }
 
 // InitArg prepares an embedded timer that runs fn(arg) when it expires.
 // With fn a package-level function and arg the owning agent, a timer costs
 // no allocations at all — neither at Init nor when (re)armed.
 func (t *Timer) InitArg(s *Scheduler, fn func(any), arg any) {
 	t.sched = s
-	t.fn = nil
-	t.afn = fn
+	t.fn = fn
 	t.arg = arg
 	t.ev = Handle{}
 	t.wheel = nil

@@ -72,7 +72,7 @@ type Sender struct {
 // touching the allocator once the arena is warm.
 func NewSender(nw *netsim.Network, node *netsim.Node, dst netsim.NodeID, dstPort, srcPort, flow int, cfg Config) *Sender {
 	cfg.fill()
-	s := arenaOf(nw.Scheduler()).sender()
+	s := arenaOf(nw.Scheduler()).senders.Get()
 	sacked, rtxed := s.sacked.r[:0], s.rtxed.r[:0]
 	if cap(sacked) == 0 || cap(rtxed) == 0 {
 		// One backing array serves both scoreboards; either set regrows
@@ -124,8 +124,7 @@ func (s *Sender) Release() {
 		s.ctrl.Release()
 		s.ctrl = nil
 	}
-	a := arenaOf(s.net.Scheduler())
-	a.freeSnd = append(a.freeSnd, s)
+	arenaOf(s.net.Scheduler()).senders.Put(s)
 }
 
 // senderTimeoutFn and senderStartFn are shared scheduler callbacks (the

@@ -30,7 +30,7 @@ func NewSink(nw *netsim.Network, node *netsim.Node, port, flow, ackSize int) *Si
 	if ackSize == 0 {
 		ackSize = 40
 	}
-	s := arenaOf(nw.Scheduler()).sink()
+	s := arenaOf(nw.Scheduler()).sinks.Get()
 	received := s.received.r[:0]
 	if cap(received) == 0 {
 		received = make([]srange, 0, 256)
@@ -49,8 +49,7 @@ func (s *Sink) Release() {
 		return
 	}
 	s.released = true
-	a := arenaOf(s.net.Scheduler())
-	a.freeSink = append(a.freeSink, s)
+	arenaOf(s.net.Scheduler()).sinks.Put(s)
 }
 
 // CumAck returns the current cumulative acknowledgment (next expected

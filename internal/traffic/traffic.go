@@ -46,17 +46,20 @@ type OnOff struct {
 	until   float64 // end of the current ON period
 	Sent    int64
 	stopped bool
-	// Bound once: the emit/ON/OFF cycle reschedules these directly, so
-	// sojourn transitions allocate no method-value closures.
-	emitFn     func()
-	startOnFn  func()
-	startOffFn func()
 }
+
+// The generators' scheduler callbacks are shared package-level
+// functions with the generator riding in the event's arg slot, so the
+// emit/ON/OFF cycle and session spawning build no closures.
+func onoffEmitFn(x any)     { x.(*OnOff).emit() }
+func onoffStartOnFn(x any)  { x.(*OnOff).startOn() }
+func onoffStartOffFn(x any) { x.(*OnOff).startOff() }
+func cbrEmitFn(x any)       { x.(*CBR).emit() }
+func miceSpawnFn(x any)     { x.(*Mice).spawn() }
 
 // NewOnOff creates a source on node sending to dst:port while ON. Each
 // source should get its own rng so sources are independent. Sources are
-// drawn from the scheduler's arena; their bound callbacks capture only
-// the (stable) source pointer, so reuse rebinds nothing.
+// drawn from the scheduler's arena.
 func NewOnOff(nw *netsim.Network, node *netsim.Node, dst netsim.NodeID, port, flow int, cfg OnOffConfig, rng *sim.Rand) *OnOff {
 	if cfg.PacketSize == 0 {
 		cfg.PacketSize = 1000
@@ -64,22 +67,15 @@ func NewOnOff(nw *netsim.Network, node *netsim.Node, dst netsim.NodeID, port, fl
 	if cfg.Rate <= 0 || cfg.MeanOn <= 0 || cfg.MeanOff <= 0 {
 		panic("traffic: ON/OFF source needs positive rate and sojourn times")
 	}
-	o := arenaOf(nw.Scheduler()).onoff()
-	emitFn, startOnFn, startOffFn := o.emitFn, o.startOnFn, o.startOffFn
+	o := arenaOf(nw.Scheduler()).onoffs.Get()
 	*o = OnOff{cfg: cfg, net: nw, node: node, dst: dst, port: port, flow: flow, rng: rng}
-	o.emitFn, o.startOnFn, o.startOffFn = emitFn, startOnFn, startOffFn
-	if o.emitFn == nil {
-		o.emitFn = o.emit
-		o.startOnFn = o.startOn
-		o.startOffFn = o.startOff
-	}
 	return o
 }
 
 // Start begins the ON/OFF cycle at the given time (starting OFF, so
 // sources desynchronize naturally).
 func (o *OnOff) Start(at float64) {
-	o.net.Scheduler().At(at, o.startOffFn)
+	o.net.Scheduler().AtArg(at, onoffStartOffFn, o)
 }
 
 // Stop permanently silences the source at its next event.
@@ -91,7 +87,7 @@ func (o *OnOff) startOff() {
 	}
 	o.on = false
 	off := o.rng.Pareto(o.cfg.MeanOff, o.cfg.Shape)
-	o.net.Scheduler().After(off, o.startOnFn)
+	o.net.Scheduler().AfterArg(off, onoffStartOnFn, o)
 }
 
 func (o *OnOff) startOn() {
@@ -122,7 +118,7 @@ func (o *OnOff) emit() {
 	o.Sent++
 	o.node.Send(p)
 	gap := float64(o.cfg.PacketSize) * 8 / o.cfg.Rate
-	o.net.Scheduler().After(gap, o.emitFn)
+	o.net.Scheduler().AfterArg(gap, onoffEmitFn, o)
 }
 
 // CBR is a constant-bit-rate source.
@@ -135,7 +131,6 @@ type CBR struct {
 	gap        float64
 	Sent       int64
 	stopped    bool
-	emitFn     func()
 }
 
 // NewCBR creates a source emitting size-byte packets at rate bits/sec.
@@ -143,21 +138,16 @@ func NewCBR(nw *netsim.Network, node *netsim.Node, dst netsim.NodeID, port, flow
 	if rate <= 0 || size <= 0 {
 		panic("traffic: CBR needs positive rate and size")
 	}
-	c := arenaOf(nw.Scheduler()).cbr()
-	emitFn := c.emitFn
+	c := arenaOf(nw.Scheduler()).cbrs.Get()
 	*c = CBR{
 		net: nw, node: node, dst: dst, port: port, flow: flow,
 		size: size, gap: float64(size) * 8 / rate,
-	}
-	c.emitFn = emitFn
-	if c.emitFn == nil {
-		c.emitFn = c.emit
 	}
 	return c
 }
 
 // Start begins emission at the given time.
-func (c *CBR) Start(at float64) { c.net.Scheduler().At(at, c.emitFn) }
+func (c *CBR) Start(at float64) { c.net.Scheduler().AtArg(at, cbrEmitFn, c) }
 
 // Stop silences the source.
 func (c *CBR) Stop() { c.stopped = true }
@@ -175,7 +165,7 @@ func (c *CBR) emit() {
 	p.DstPort = c.port
 	c.Sent++
 	c.node.Send(p)
-	c.net.Scheduler().After(c.gap, c.emitFn)
+	c.net.Scheduler().AfterArg(c.gap, cbrEmitFn, c)
 }
 
 // Sink discards arriving packets, freeing them back to the pool. Attach
@@ -188,7 +178,7 @@ type Sink struct {
 
 // NewSink attaches a discarding sink at node:port.
 func NewSink(nw *netsim.Network, node *netsim.Node, port int) *Sink {
-	s := arenaOf(nw.Scheduler()).sink()
+	s := arenaOf(nw.Scheduler()).sinks.Get()
 	*s = Sink{net: nw}
 	node.Attach(port, s)
 	return s
@@ -229,7 +219,6 @@ type Mice struct {
 	slot     int
 	Sessions int64
 	stopped  bool
-	spawnFn  func() // bound once: spawn reschedules itself per session
 
 	// Per-slot live agents: when a slot is recycled its previous
 	// sender/sink pair is handed back to the TCP agent arena, so a long
@@ -250,13 +239,9 @@ func NewMice(nw *netsim.Network, src, dst *netsim.Node, flow int, cfg MiceConfig
 	if cfg.BasePort == 0 {
 		cfg.BasePort = 1000
 	}
-	m := arenaOf(nw.Scheduler()).miceGen()
-	spawnFn, slotSnd, slotSink := m.spawnFn, m.slotSnd, m.slotSink
+	m := arenaOf(nw.Scheduler()).mice.Get()
+	slotSnd, slotSink := m.slotSnd, m.slotSink
 	*m = Mice{cfg: cfg, net: nw, src: src, dst: dst, flow: flow, rng: rng}
-	m.spawnFn = spawnFn
-	if m.spawnFn == nil {
-		m.spawnFn = m.spawn
-	}
 	maxc := cfg.MaxConcurrent
 	if cap(slotSnd) < maxc {
 		slotSnd = make([]*tcp.Sender, maxc)
@@ -275,7 +260,7 @@ func NewMice(nw *netsim.Network, src, dst *netsim.Node, flow int, cfg MiceConfig
 
 // Start schedules the first session at the given time.
 func (m *Mice) Start(at float64) {
-	m.net.Scheduler().At(at, m.spawnFn)
+	m.net.Scheduler().AtArg(at, miceSpawnFn, m)
 }
 
 // Stop halts new session creation.
@@ -308,5 +293,5 @@ func (m *Mice) spawn() {
 	snd := tcp.NewSenderLimited(m.net, m.src, m.dst.ID, sinkPort, srcPort, m.flow, tcp.Config{Variant: m.cfg.Variant}, size)
 	m.slotSnd[k] = snd
 	snd.Start(m.net.Now())
-	m.net.Scheduler().After(m.rng.Exponential(m.cfg.MeanInterarrival), m.spawnFn)
+	m.net.Scheduler().AfterArg(m.rng.Exponential(m.cfg.MeanInterarrival), miceSpawnFn, m)
 }
