@@ -68,9 +68,14 @@
 //
 //   - Event queue: the scheduler's pending-event queue is an adaptive
 //     calendar queue — O(1) expected insert/pop at the uniform event
-//     spacing packet simulations produce. Events fire in
-//     (time, insertion-sequence) order, and bucket storage is bounded
-//     by peak occupancy, not by simulated duration.
+//     spacing packet simulations produce, one bucket search per fired
+//     event. Events fire in (time, insertion-sequence) order. Bucket
+//     storage follows the occupied buckets: a drained bucket's array is
+//     recycled to the next bucket that grows, so queue memory tracks the
+//     live event set, not simulated duration or the buckets a dense
+//     cluster once passed through. A timer re-armed to a later deadline
+//     (the TCP RTO on every ACK) is postponed in place instead of
+//     leaving a cancelled entry behind.
 //
 //   - Batched timers: TFRC feedback and no-feedback timers — precision
 //     requirement "about one RTT" — can opt onto a shared timer wheel

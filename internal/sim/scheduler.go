@@ -1,8 +1,9 @@
 // Package sim provides a deterministic discrete-event simulation engine:
-// an event scheduler over an adaptive calendar queue, a simulation
-// clock, cancellable timers with optional coarse batching on a timer
-// wheel, a chunked value slab for scheduler-attached object arenas, and
-// seeded random-variate helpers.
+// an event scheduler over an adaptive calendar queue whose storage
+// tracks the live event set, a simulation clock, cancellable timers that
+// postpone in place when re-armed later, with optional coarse batching
+// on a timer wheel, a chunked value slab for scheduler-attached object
+// arenas, and seeded random-variate helpers.
 //
 // The engine is single-threaded by design. Determinism comes from three
 // properties: events fire in (time, insertion-sequence) order, all
@@ -21,10 +22,13 @@ import (
 // slot table — callers never hold them; At and After hand out
 // generation-checked Handles carrying the slot index instead. A slot is
 // pending exactly while its generation matches the one it was queued
-// with: firing and cancelling both recycle it, which bumps gen.
+// with: firing and cancelling both recycle it, which bumps gen. A
+// postpone moves at and seq together; the calendar entry catches up
+// when the scan reaches it.
 type event struct {
 	gen uint64  // bumped on every recycle; stale Handles don't match
 	at  float64 // firing time, kept here so Handle.Time needs no queue lookup
+	seq uint64  // tie-break sequence of the pending firing
 	fn  func(any)
 	arg any
 }
@@ -215,11 +219,29 @@ func (s *Scheduler) alloc(t float64, fn func(any), arg any) int32 {
 	}
 	e := &s.slots[slot]
 	e.at = t
+	e.seq = s.seq
 	e.fn = fn
 	e.arg = arg
 	s.calInsert(t, s.seq, slot)
 	s.seq++
 	return slot
+}
+
+// postpone moves pending slot's firing time later, to t no earlier than
+// its current one. The slot takes a fresh sequence number exactly as a
+// cancel and re-insert would, so equal-time ties keep that order; its
+// calendar entry stays put and is re-filed at the new key when the scan
+// or a resize reaches it.
+//
+//tfrc:hotpath
+func (s *Scheduler) postpone(slot int32, t float64) {
+	if math.IsInf(t, 0) {
+		panic(fmt.Sprintf("sim: scheduling event at non-finite time %v", t))
+	}
+	e := &s.slots[slot]
+	e.at = t
+	e.seq = s.seq
+	s.seq++
 }
 
 // recycle clears a fired or cancelled slot and returns it to the free
@@ -289,16 +311,25 @@ func (s *Scheduler) Cancel(h Handle) {
 //
 //tfrc:hotpath
 func (s *Scheduler) Step() bool {
-	slot, at, ok := s.calPop()
+	idx, at, ok := s.calFind()
 	if !ok {
 		return false
 	}
+	s.fire(idx, at)
+	return true
+}
+
+// fire pops the earliest event, which calFind just found at the head of
+// bucket idx, advances the clock to its time at, and runs it.
+//
+//tfrc:hotpath
+func (s *Scheduler) fire(idx int, at float64) {
+	slot := s.calPopHead(idx)
 	s.now = at
 	e := &s.slots[slot]
 	fn, arg := e.fn, e.arg
 	s.recycle(slot)
 	fn(arg)
-	return true
 }
 
 // Stop makes Run and RunUntil return before the next event fires.
@@ -316,11 +347,11 @@ func (s *Scheduler) Run() {
 func (s *Scheduler) RunUntil(end float64) {
 	s.stopped = false
 	for !s.stopped {
-		t, ok := s.calPeek()
-		if !ok || t > end {
+		idx, at, ok := s.calFind()
+		if !ok || at > end {
 			break
 		}
-		s.Step()
+		s.fire(idx, at)
 	}
 	if !s.stopped && s.now < end {
 		s.now = end

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"sort"
@@ -242,6 +243,20 @@ func TestTimerResetStop(t *testing.T) {
 	}
 }
 
+func TestTimerResetNonFinitePanics(t *testing.T) {
+	// A pending timer pushed to +Inf takes the postpone path, which must
+	// reject the time as scheduling would.
+	s := NewScheduler()
+	tm := NewTimer(s, func() {})
+	tm.Reset(1)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("re-arming a pending timer at +Inf did not panic")
+		}
+	}()
+	tm.ResetAt(math.Inf(1))
+}
+
 func TestTimerRearmFromCallback(t *testing.T) {
 	s := NewScheduler()
 	n := 0
@@ -443,6 +458,70 @@ func (l *lockstep) step() int {
 	return want.id
 }
 
+// lockTimer is one Timer driven through a lockstep. The reference
+// models every re-arm as a cancel plus a fresh insert.
+type lockTimer struct {
+	tm      Timer
+	id      int
+	seq     uint64  // reference sequence of the pending firing
+	at      float64 // pending deadline, valid while pending
+	pending bool
+}
+
+// newTimer returns an idle timer whose firing records its id.
+func (l *lockstep) newTimer() *lockTimer {
+	x := &lockTimer{id: l.nextID}
+	l.nextID++
+	x.tm.InitArg(l.s, l.record, x.id)
+	return x
+}
+
+// rearm re-arms x at absolute time at in both queues and checks that a
+// pending exact timer pushed no earlier keeps its Handle, which reports
+// the new deadline, while an earlier deadline retires the old Handle.
+func (l *lockstep) rearm(x *lockTimer, at float64) {
+	l.t.Helper()
+	h := x.tm.ev
+	postpone := x.pending && at >= x.at
+	if x.pending {
+		l.ref.cancel(x.seq)
+	}
+	x.tm.ResetAt(at)
+	x.seq = l.ref.schedule(at, x.id)
+	x.at, x.pending = at, true
+	switch {
+	case postpone && (x.tm.ev != h || !h.Scheduled() || h.Time() != at):
+		l.t.Fatalf("%s: postponed timer %d: handle kept %v, scheduled %v, time %v; want kept, true, %v",
+			l.name, x.id, x.tm.ev == h, h.Scheduled(), h.Time(), at)
+	case !postpone && h.Scheduled():
+		l.t.Fatalf("%s: timer %d moved earlier but its old handle is still scheduled", l.name, x.id)
+	}
+}
+
+// stop stops x in both queues, through Timer.Stop or by cancelling the
+// Handle it holds.
+func (l *lockstep) stop(x *lockTimer, viaHandle bool) {
+	if viaHandle {
+		l.s.Cancel(x.tm.ev)
+	} else {
+		x.tm.Stop()
+	}
+	if x.pending {
+		l.ref.cancel(x.seq)
+	}
+	x.pending = false
+}
+
+// checkTimer compares x's Deadline and Pending with the reference.
+func (l *lockstep) checkTimer(x *lockTimer) {
+	l.t.Helper()
+	d, ok := x.tm.Deadline()
+	if ok != x.pending || x.tm.Pending() != x.pending || (ok && d != x.at) {
+		l.t.Fatalf("%s: timer %d Deadline = %v,%v Pending = %v; reference %v,%v",
+			l.name, x.id, d, ok, x.tm.Pending(), x.at, x.pending)
+	}
+}
+
 func (l *lockstep) checkLen() {
 	l.t.Helper()
 	if l.s.Len() != len(l.ref.events) {
@@ -468,7 +547,12 @@ func (l *lockstep) drain() {
 //     disturb live events;
 //   - churn: 20k operations at seed 99 with a short 3 s horizon and
 //     cancels drawn from every handle ever issued, live or stale — the
-//     dense re-arm pattern of the packet hot path.
+//     dense re-arm pattern of the packet hot path;
+//   - postpone: exact Timers re-armed later (postponed in place),
+//     earlier, to their own deadline and onto other events' times, on a
+//     1/64 s grid so equal-time ties are common, interleaved with plain
+//     events, Stop, Cancel through a postponed timer's Handle, and
+//     forced resizes while postponed entries are pending (seeds 1–5).
 func TestSchedulerDifferential(t *testing.T) {
 	t.Run("mixed", func(t *testing.T) {
 		for seed := int64(1); seed <= 5; seed++ {
@@ -492,6 +576,112 @@ func TestSchedulerDifferential(t *testing.T) {
 		}
 		l.drain()
 	})
+	t.Run("postpone", func(t *testing.T) {
+		for seed := int64(1); seed <= 5; seed++ {
+			// Without a resize over stale postponed entries the input
+			// would pin nothing about calResize re-filing them.
+			if n := differentialPostpone(t, seed); n == 0 {
+				t.Fatalf("seed %d: no resize ran while postponed entries were pending", seed)
+			}
+		}
+	})
+}
+
+// postponedEntries counts live calendar entries whose slot has since
+// been postponed to a new key.
+func postponedEntries(s *Scheduler) int {
+	n := 0
+	for idx, b := range s.cal.buckets {
+		for _, e := range b[s.cal.heads[idx]:] {
+			if sl := s.slots[e.slot]; sl.gen == e.gen && sl.seq != e.seq {
+				n++
+			}
+		}
+	}
+	return n
+}
+
+// differentialPostpone runs the postpone input at one seed and returns
+// how many resizes ran with postponed entries pending.
+func differentialPostpone(t *testing.T, seed int64) int {
+	r := rand.New(rand.NewSource(seed))
+	l := &lockstep{t: t, name: fmt.Sprintf("postpone seed %d", seed), s: NewScheduler()}
+	s := l.s
+	timers := make([]*lockTimer, 48)
+	byID := map[int]*lockTimer{}
+	for i := range timers {
+		timers[i] = l.newTimer()
+		byID[timers[i].id] = timers[i]
+	}
+	// grid returns a time k/64 s past the first grid point at or after
+	// now: exact binary fractions, so ties are exact.
+	grid := func(k int) float64 { return (math.Ceil(s.Now()*64) + float64(k)) / 64 }
+	var plain []float64 // times of plain events, for cross-event ties
+	resized := 0
+	for op := 0; op < 4000; op++ {
+		x := timers[r.Intn(len(timers))]
+		switch k := r.Intn(100); {
+		case k < 20:
+			at := grid(r.Intn(256))
+			if x.pending && r.Intn(3) == 0 {
+				at = x.at // tie behind a possibly postponed timer
+			}
+			plain = append(plain, at)
+			l.schedule(at, r.Intn(2) == 0)
+		case k < 50:
+			at := grid(r.Intn(256))
+			switch m := r.Intn(4); {
+			case !x.pending:
+			case m == 0:
+				at = x.at // re-arm to its own deadline
+			case m == 1 && len(plain) > 0:
+				if p := plain[r.Intn(len(plain))]; p >= s.Now() {
+					at = p // tie with a plain event
+				}
+			case m == 2:
+				at = x.at + float64(r.Intn(64))/64 // later
+			}
+			l.rearm(x, at)
+		case k < 58:
+			l.stop(x, r.Intn(2) == 0)
+		case k < 59:
+			if postponedEntries(s) > 0 {
+				resized++
+			}
+			s.calResize()
+		case k < 61 && s.Len() < calMinBuckets:
+			// A burst crosses the grow trigger; stepping it off later
+			// crosses the shrink trigger.
+			for i := 0; i < 2*calMinBuckets; i++ {
+				at := grid(r.Intn(1024))
+				plain = append(plain, at)
+				l.schedule(at, false)
+			}
+		default:
+			if id := l.step(); id >= 0 {
+				if y := byID[id]; y != nil {
+					y.pending = false
+				}
+			}
+		}
+		l.checkLen()
+		for _, y := range timers {
+			l.checkTimer(y)
+		}
+	}
+	for {
+		id := l.step()
+		if id < 0 {
+			break
+		}
+		if y := byID[id]; y != nil {
+			y.pending = false
+		}
+	}
+	for _, y := range timers {
+		l.checkTimer(y)
+	}
+	return resized
 }
 
 func differentialMixed(t *testing.T, seed int64) {
@@ -721,6 +911,102 @@ func TestCalendarBucketCapacityIndependentOfDuration(t *testing.T) {
 	}
 }
 
+// calCapacity sums the entry capacity the calendar holds: every bucket
+// array, including buckets a shrink left beyond the live count, and
+// every spare.
+func calCapacity(s *Scheduler) int {
+	n := 0
+	for _, b := range s.cal.buckets[:cap(s.cal.buckets)] {
+		n += cap(b)
+	}
+	for _, st := range s.cal.spare {
+		for _, b := range st {
+			n += cap(b)
+		}
+	}
+	return n
+}
+
+// TestCalendarCapacityTracksLiveSet pins the recycling of drained bucket
+// arrays. Thousands of standing long timers, re-armed a horizon ahead,
+// and a dense cluster of short timers grow the calendar past 16k
+// buckets; a width set by the long horizon packs the cluster some 20
+// deep into each bucket it covers. Over one full rotation the cluster
+// sweeps every bucket. If a bucket kept its array after the cluster
+// passed, summed capacity would approach the bucket count times the
+// cluster depth; recycled, it stays within a small multiple of the live
+// entries.
+func TestCalendarCapacityTracksLiveSet(t *testing.T) {
+	const (
+		standing = 4096
+		cluster  = 32768
+		horizon  = 8.0 // standing timers' period
+		period   = 1.0 // cluster timers' period
+		bound    = 4   // allowed capacity per peak live entry
+	)
+	s := new(Scheduler) // not from the pool: recycled buckets keep capacity
+	s.Reset()
+	arm := func(ts []Timer, d float64) {
+		rearm := func(x any) { x.(*Timer).Reset(d) }
+		for i := range ts {
+			ts[i].InitArg(s, rearm, &ts[i])
+			ts[i].ResetAt(d * float64(i) / float64(len(ts)))
+		}
+	}
+	arm(make([]Timer, standing), horizon)
+	arm(make([]Timer, cluster), period)
+	peak := s.Len()
+	if n := len(s.cal.buckets); n <= 16384 {
+		t.Fatalf("calendar has %d buckets; the test needs more than 16k", n)
+	}
+	rotation := float64(len(s.cal.buckets)) / s.cal.inv
+	worst := 0
+	for end := period; end <= rotation+period; end += period {
+		s.RunUntil(end)
+		if s.Len() != peak {
+			t.Fatalf("live set changed: %d, want %d", s.Len(), peak)
+		}
+		worst = max(worst, calCapacity(s))
+	}
+	if worst > bound*peak {
+		t.Fatalf("calendar capacity reached %d entries for %d live (%.1f per live entry, bound %d)",
+			worst, peak, float64(worst)/float64(peak), bound)
+	}
+}
+
+// TestCalendarInsertBehindScan pins inserts that land behind the scan
+// position. RunUntil's lookahead leaves the scan on the next event past
+// its end, and a resize leaves it on the earliest entry; an event then
+// scheduled between now and that entry must still fire first.
+func TestCalendarInsertBehindScan(t *testing.T) {
+	t.Run("rununtil", func(t *testing.T) {
+		s := NewScheduler()
+		var got []float64
+		rec := func(x any) { got = append(got, x.(float64)) }
+		s.AtArg(1, rec, 1.0)
+		s.AtArg(10, rec, 10.0)
+		s.RunUntil(1.5)
+		s.AtArg(2, rec, 2.0)
+		s.Run()
+		if !slices.Equal(got, []float64{1, 2, 10}) {
+			t.Fatalf("fired %v, want [1 2 10]", got)
+		}
+	})
+	t.Run("resize", func(t *testing.T) {
+		s := NewScheduler()
+		var got []float64
+		rec := func(x any) { got = append(got, x.(float64)) }
+		for i := 0; i <= 2*calMinBuckets; i++ { // the last insert resizes
+			s.AtArg(10+float64(i), rec, 10+float64(i))
+		}
+		s.AtArg(0.5, rec, 0.5)
+		s.Step()
+		if !slices.Equal(got, []float64{0.5}) {
+			t.Fatalf("fired %v first, want [0.5]", got)
+		}
+	})
+}
+
 func BenchmarkSchedulerChurn(b *testing.B) {
 	s := NewScheduler()
 	r := rand.New(rand.NewSource(1))
@@ -765,9 +1051,14 @@ func BenchmarkSchedulerEventsPerSecond(b *testing.B) {
 // one Step plus one insert. The rearm sub-cases add the timer-reset mix:
 // every op also cancels and re-arms one pending event, as the TCP RTO
 // does on every ACK, so lazily-cancelled tombstones accumulate in the
-// buckets.
+// buckets. The timer-rearm sub-cases run the same mix through Timer.Reset,
+// which postpones a pending timer in place when the new deadline is no
+// earlier (about half the re-arms here) instead of cancelling it.
 func BenchmarkSchedulerPopulation(b *testing.B) {
 	for _, pop := range []int{1_000, 100_000, 1_000_000} {
+		b.Run(fmt.Sprintf("pop=%d/timer-rearm", pop), func(b *testing.B) {
+			benchTimerRearm(b, pop)
+		})
 		for _, mix := range []string{"churn", "rearm"} {
 			b.Run(fmt.Sprintf("pop=%d/%s", pop, mix), func(b *testing.B) {
 				s := NewScheduler()
@@ -808,4 +1099,34 @@ func BenchmarkSchedulerPopulation(b *testing.B) {
 			})
 		}
 	}
+}
+
+// benchTimerRearm is BenchmarkSchedulerPopulation's timer-rearm mix: pop
+// Timers, each re-armed when it fires, and one more Timer.Reset per op.
+func benchTimerRearm(b *testing.B, pop int) {
+	s := NewScheduler()
+	s.Pin() // keep the 1M-population backing out of the shared pool
+	r := rand.New(rand.NewSource(1))
+	delays := make([]float64, 8192)
+	for i := range delays {
+		delays[i] = r.Float64()
+	}
+	next := 0
+	delay := func() float64 {
+		next++
+		return delays[next%len(delays)]
+	}
+	timers := make([]Timer, pop)
+	fire := func(x any) { x.(*Timer).Reset(delay()) }
+	for i := range timers {
+		timers[i].InitArg(s, fire, &timers[i])
+		timers[i].Reset(delay())
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		timers[i%pop].Reset(delay())
+		s.Step()
+	}
+	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "events/sec")
 }

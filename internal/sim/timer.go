@@ -72,21 +72,17 @@ func (t *Timer) Coarse(w *Wheel) {
 	t.wtick = -1
 }
 
-// Reset (re)arms the timer to fire d seconds from now, cancelling any
+// Reset (re)arms the timer to fire d seconds from now, superseding any
 // pending expiry.
 //
 //tfrc:hotpath
-func (t *Timer) Reset(d float64) {
-	if t.wheel != nil {
-		t.wheel.cancel(t)
-		t.wheel.arm(t, t.sched.now+d)
-		return
-	}
-	t.Stop()
-	t.ev = t.sched.AfterArg(d, timerFireFn, t)
-}
+func (t *Timer) Reset(d float64) { t.ResetAt(t.sched.now + d) }
 
-// ResetAt (re)arms the timer to fire at absolute time at.
+// ResetAt (re)arms the timer to fire at absolute time at, superseding
+// any pending expiry. An exact timer pushed no earlier than its pending
+// deadline — an RTO re-armed on every ACK — is postponed in place and
+// keeps its Handle; an earlier deadline cancels and re-inserts. Either
+// way it fires in the order a fresh insert at the new time would.
 //
 //tfrc:hotpath
 func (t *Timer) ResetAt(at float64) {
@@ -95,8 +91,13 @@ func (t *Timer) ResetAt(at float64) {
 		t.wheel.arm(t, at)
 		return
 	}
+	s := t.sched
+	if t.ev.Scheduled() && at >= s.slots[t.ev.slot].at {
+		s.postpone(t.ev.slot, at)
+		return
+	}
 	t.Stop()
-	t.ev = t.sched.AtArg(at, timerFireFn, t)
+	t.ev = s.AtArg(at, timerFireFn, t)
 }
 
 // Stop cancels a pending expiry. Stopping an idle timer is a no-op.
