@@ -13,11 +13,12 @@
 //	tfrcsim run parkinglot -seeds 3   # 3 seeds per cell, mean ± 90% CI
 //	tfrcsim list                      # enumerate the registry
 //
-// Grid-shaped experiments also run distributed: "shard run" computes a
-// slice of the cell grid into a shard envelope (with crash-safe
-// checkpoint/resume), "shard exec" supervises a local fan-out with
-// automatic restart of crashed or hung shards, and "merge" reassembles
-// envelopes into the exact single-machine result:
+// Every experiment is a grid of independent cells, so every experiment
+// also runs distributed: "shard run" computes a slice of the cell grid
+// into a shard envelope (with crash-safe checkpoint/resume), "shard
+// exec" supervises a local fan-out with automatic restart of crashed or
+// hung shards, and "merge" reassembles envelopes into the exact
+// single-machine result:
 //
 //	tfrcsim shard run fig6 -shard 0/3 -checkpoint s0.ckpt -resume -o s0.json
 //	tfrcsim shard exec fig6 -n 3 -format json
@@ -33,8 +34,8 @@
 // -list is list. Experiment names resolve through registry aliases, so
 // run 10 and run fig10 both reach fig9 (which includes Figure 10).
 //
-// Sweep-shaped experiments execute their independent cells on a worker
-// pool; -parallel defaults to the number of CPUs and results are
+// Experiments execute their independent cells on a worker pool;
+// -parallel defaults to the number of CPUs and results are
 // bit-identical at any worker count. -seeds applies to experiments
 // whose parameters support multi-seed replication (figures 6, 8, 14,
 // 15 and the parkinglot/bwstep scenarios); each cell then repeats at
@@ -52,9 +53,7 @@
 package main
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -221,20 +220,19 @@ func run() int {
 		return 2
 	}
 
-	d, err := experiment.Get(name)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "tfrcsim: %v\n", err)
-		return 2
-	}
-
 	// Resolve the preset. -paper is legacy shorthand for -preset paper,
 	// and — as the old per-figure switch did — silently means "default"
 	// for experiments that have no paper-scale setup (with a warning).
 	presetName := *preset
 	if *paper {
+		d, err := experiment.Get(name)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "tfrcsim: %v\n", err)
+			return exitUsage
+		}
 		if presetName != "" && presetName != "paper" {
 			fmt.Fprintln(os.Stderr, "tfrcsim: -paper conflicts with -preset")
-			return 2
+			return exitUsage
 		}
 		if _, ok := d.Presets["paper"]; !ok {
 			fmt.Fprintf(os.Stderr, "tfrcsim: %s has no paper-scale preset; using defaults\n", d.Name)
@@ -242,55 +240,9 @@ func run() int {
 			presetName = "paper"
 		}
 	}
-	p, err := d.PresetParams(presetName)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "tfrcsim: %v\n", err)
-		return 2
-	}
-
-	if *paramsFile != "" {
-		data, err := os.ReadFile(*paramsFile)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "tfrcsim: %v\n", err)
-			return 1
-		}
-		dec := json.NewDecoder(bytes.NewReader(data))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(p); err != nil {
-			fmt.Fprintf(os.Stderr, "tfrcsim: parsing %s for %s: %v\n", *paramsFile, d.Name, err)
-			return 1
-		}
-		if dec.More() {
-			fmt.Fprintf(os.Stderr, "tfrcsim: %s: trailing data after the parameter object\n", *paramsFile)
-			return 1
-		}
-	}
-
-	// -seed/-seeds apply only when passed explicitly, so a -params file's
-	// seeds survive; experiments without the knob warn instead of
-	// silently accepting it.
-	seedSet, seedsSet := false, false
-	flag.Visit(func(f *flag.Flag) {
-		switch f.Name {
-		case "seed":
-			seedSet = true
-		case "seeds":
-			seedsSet = true
-		}
-	})
-	if seedSet {
-		if s, ok := p.(experiment.SeedSetter); ok {
-			s.SetSeed(*seed)
-		} else {
-			fmt.Fprintf(os.Stderr, "tfrcsim: %s takes no -seed; ignored\n", d.Name)
-		}
-	}
-	if seedsSet {
-		if s, ok := p.(experiment.SeedsSetter); ok {
-			s.SetSeeds(*seeds)
-		} else {
-			fmt.Fprintf(os.Stderr, "tfrcsim: %s takes no -seeds; ignored\n", d.Name)
-		}
+	d, p, code := resolveExperiment(flag.CommandLine, name, presetName, *paramsFile, seed, seeds)
+	if code != exitOK {
+		return code
 	}
 
 	// Run under a cancellable context: the first SIGINT/SIGTERM skips

@@ -52,10 +52,12 @@
 //     "paper" preset) and a Result that renders both the gnuplot-ready
 //     table and stable-keyed JSON. experiment.Get("fig6") → tweak
 //     params → experiment.Run; cmd/tfrcsim is a thin shell over the
-//     registry ("tfrcsim run fig6 -format json"). Grid-shaped
-//     experiments execute their independent cells on a parallel sweep
-//     runner whose output is bit-identical to a sequential run
-//     (-parallel N), with -seeds K for per-cell mean ± 90% CI.
+//     registry ("tfrcsim run fig6 -format json"). Every experiment is
+//     a grid of independent cells (a trace is a 1-cell grid), executed
+//     on a parallel sweep runner whose output is bit-identical to a
+//     sequential run (-parallel N), with -seeds K for per-cell mean ±
+//     90% CI, and shardable across processes with crash-safe resume
+//     ("tfrcsim shard run", "tfrcsim merge").
 //
 // The module path is "tfrc"; packages import as tfrc/internal/...
 //

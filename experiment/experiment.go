@@ -18,6 +18,25 @@
 // json.Unmarshal. Register adds user-defined experiments to the same
 // registry the CLI enumerates.
 //
+// Every experiment runs as a Grid of independent cells, which is what
+// lets the CLI shard, merge and resume any of them. A user experiment
+// that is one simulation is a 1-cell grid:
+//
+//	experiment.Register(experiment.Descriptor{
+//		Name:   "my-dumbbell",
+//		Params: func() experiment.Params { return &MyParams{Flows: 2} },
+//		Grid: experiment.GridAs(
+//			func(*MyParams) int { return 1 },
+//			func(p *MyParams, r experiment.CellRange) []MyResult {
+//				out := make([]MyResult, 0, r.Len())
+//				for range r.Len() {
+//					out = append(out, runMyDumbbell(p))
+//				}
+//				return out
+//			},
+//			func(_ *MyParams, cells []MyResult) *MyResult { return &cells[0] }),
+//	})
+//
 // The serialized record has a stable, versioned shape:
 //
 //	{"schema": "tfrc.experiment.record/v1", "experiment": "fig6",
@@ -57,7 +76,8 @@ import (
 // registered by the figure files and by user code are interchangeable.
 type (
 	// Descriptor declares one experiment: name, aliases, description,
-	// default/preset parameter constructors, and the run function.
+	// default/preset parameter constructors, and the cell grid it runs
+	// as.
 	Descriptor = exp.Descriptor
 	// Params is an experiment's parameter set: a pointer to a plain
 	// JSON-round-trippable struct with self-validation.
@@ -70,10 +90,10 @@ type (
 	// SeedsSetter is implemented by params supporting multi-seed
 	// replication with mean ± 90% CI aggregation.
 	SeedsSetter = exp.SeedsSetter
-	// Grid is the optional pure-cell decomposition of an experiment:
-	// cell count, range runner, and reduce step over raw JSON cells. An
-	// experiment that provides one can be split across processes and
-	// machines (see cmd/tfrcsim's shard and merge commands) with
+	// Grid is an experiment's pure-cell decomposition and the one way
+	// it runs: cell count, range runner, and reduce step over raw JSON
+	// cells. Run reduces the full range; cmd/tfrcsim's shard and merge
+	// commands split the same range across processes and machines with
 	// byte-identical results.
 	Grid = exp.Grid
 	// CellRange is a half-open range [Lo, Hi) of grid cell indices.
@@ -121,8 +141,8 @@ func List() []Descriptor { return exp.Experiments() }
 // runs on unvalidated parameters.
 func Run(d Descriptor, p Params) (Result, error) { return exp.RunExperiment(d, p) }
 
-// SetParallelism sets the worker count used by grid-shaped experiments
-// to execute their independent sweep cells, returning the previous
+// SetParallelism sets the worker count experiments use to execute
+// their independent sweep cells, returning the previous
 // value. Results are bit-identical at any setting.
 func SetParallelism(n int) int { return exp.SetParallelism(n) }
 

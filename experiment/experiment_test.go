@@ -379,7 +379,8 @@ func TestSeedKnobs(t *testing.T) {
 }
 
 // TestRegisterUserExperiment exercises the public extension point with
-// a scenario-package experiment, end to end.
+// a scenario-package experiment, end to end: a 1-cell grid whose one
+// cell is the whole simulation.
 func TestRegisterUserExperiment(t *testing.T) {
 	experiment.Register(experiment.Descriptor{
 		Name:        "user-dumbbell",
@@ -387,17 +388,23 @@ func TestRegisterUserExperiment(t *testing.T) {
 		Params: func() experiment.Params {
 			return &userDumbbellParams{Flows: 2, Duration: 10}
 		},
-		Run: func(p experiment.Params) (experiment.Result, error) {
-			up := p.(*userDumbbellParams)
-			res, err := scenario.Run(scenario.Spec{
-				NTCP: up.Flows, NTFRC: up.Flows,
-				BottleneckBW: 2e6, Duration: up.Duration, Seed: 1,
-			})
-			if err != nil {
-				return nil, err
-			}
-			return &userDumbbellResult{Util: res.Utilization}, nil
-		},
+		Grid: experiment.GridAs(
+			func(*userDumbbellParams) int { return 1 },
+			func(up *userDumbbellParams, r experiment.CellRange) []userDumbbellResult {
+				out := make([]userDumbbellResult, 0, r.Len())
+				for range r.Len() {
+					res, err := scenario.Run(scenario.Spec{
+						NTCP: up.Flows, NTFRC: up.Flows,
+						BottleneckBW: 2e6, Duration: up.Duration, Seed: 1,
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					out = append(out, userDumbbellResult{Util: res.Utilization})
+				}
+				return out
+			},
+			func(_ *userDumbbellParams, cells []userDumbbellResult) *userDumbbellResult { return &cells[0] }),
 	})
 	d, err := experiment.Get("user-dumbbell")
 	if err != nil {

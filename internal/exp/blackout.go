@@ -81,7 +81,7 @@ func init() {
 		Name:        "blackout",
 		Description: "graceful degradation through a total feedback outage",
 		Params:      paramsFn[BlackoutParams](DefaultBlackout),
-		Run:         runAs(func(p *BlackoutParams) Result { return RunBlackout(*p) }),
+		Grid:        cellAs(runBlackoutCell),
 	})
 }
 
@@ -101,14 +101,9 @@ type BlackoutResult struct {
 
 // RunBlackout runs the outage scenario and judges it with
 // faults.CheckGraceful.
-func RunBlackout(pr BlackoutParams) *BlackoutResult {
-	out := runCellsCtx(1, func(c *Cell, _ int) *BlackoutResult {
-		return runBlackoutCell(c, pr)
-	})
-	return out[0]
-}
+func RunBlackout(pr BlackoutParams) *BlackoutResult { return runOne(&pr, runBlackoutCell) }
 
-func runBlackoutCell(c *Cell, pr BlackoutParams) *BlackoutResult {
+func runBlackoutCell(c *Cell, pr *BlackoutParams) *BlackoutResult {
 	sched := c.begin()
 	bw := pr.LinkMbps * 1e6
 	queueLimit := int(max(10, bw*0.1/(8*1000)))
@@ -166,7 +161,7 @@ func runBlackoutCell(c *Cell, pr BlackoutParams) *BlackoutResult {
 		scfg.MaxBackoffInterval = 64
 	}
 	out := &BlackoutResult{
-		Params:   pr,
+		Params:   *pr,
 		BinWidth: pr.BinWidth,
 		RTT:      d.RTT(0),
 		RTO:      rto,

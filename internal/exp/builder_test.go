@@ -203,8 +203,9 @@ func TestFig08Fig14Fig15MultiSeed(t *testing.T) {
 	}
 
 	var e, f *Fig15Result
-	withParallelism(4, func() { e = RunFig15Seeds(40, 1, 2) })
-	withParallelism(1, func() { f = RunFig15Seeds(40, 1, 2) })
+	f15 := Fig15Params{Duration: 40, Seed: 1, Seeds: 2}
+	withParallelism(4, func() { e = RunFig15(f15) })
+	withParallelism(1, func() { f = RunFig15(f15) })
 	if e.Seeds != 2 || e.MeanTCPCI < 0 {
 		t.Fatalf("fig15 multi-seed not populated: %+v", e)
 	}
@@ -212,7 +213,7 @@ func TestFig08Fig14Fig15MultiSeed(t *testing.T) {
 		t.Fatalf("fig15 multi-seed depends on parallelism")
 	}
 	// Single-seed results are unchanged by the refactor: Seeds stays 0.
-	if g := RunFig15(40, 1); g.Seeds != 0 {
+	if g := RunFig15(Fig15Params{Duration: 40, Seed: 1}); g.Seeds != 0 {
 		t.Fatalf("fig15 single-seed gained Seeds=%d", g.Seeds)
 	}
 }

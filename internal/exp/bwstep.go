@@ -91,7 +91,7 @@ func init() {
 		Description: "tracking a bottleneck bandwidth step",
 		Params:      paramsFn[BWStepParams](DefaultBWStep),
 		Presets:     map[string]func() Params{"paper": paramsFn[BWStepParams](PaperBWStep)},
-		Run:         runAs(func(p *BWStepParams) Result { return RunBWStep(*p) }),
+		Grid:        GridAs(bwstepCells, bwstepRunRange, bwstepReduce),
 	})
 }
 
@@ -122,6 +122,9 @@ type BWStepResult struct {
 }
 
 func runBWStepSeed(c *Cell, pr BWStepParams, seed int64) *BWStepResult {
+	if pr.Factor == 0 {
+		pr.Factor = 0.5
+	}
 	sched := c.begin()
 	rng := sched.NewRand(seed)
 	bw := pr.LinkMbps * 1e6
@@ -224,22 +227,21 @@ func sumSeries(series [][]float64, bins int) []float64 {
 	return out
 }
 
-// RunBWStep runs the transient, with Seeds > 1 executing as independent
-// cells on the sweep runner and phase fractions aggregating to mean ±
-// 90% CI; traces stay the first seed's sample.
-func RunBWStep(pr BWStepParams) *BWStepResult {
-	if pr.Factor == 0 {
-		pr.Factor = 0.5
-	}
-	seeds := pr.Seeds
-	if seeds < 1 {
-		seeds = 1
-	}
-	cells := runCellsCtx(seeds, func(c *Cell, i int) *BWStepResult {
-		return runBWStepSeed(c, pr, pr.Seed+int64(i)*6151)
+// bwstepCells is one cell per seed replicate.
+func bwstepCells(pr *BWStepParams) int { return max(pr.Seeds, 1) }
+
+// bwstepRunRange computes seed replicates [r.Lo, r.Hi).
+func bwstepRunRange(pr *BWStepParams, r CellRange) []*BWStepResult {
+	return runCells(r.Len(), func(c *Cell, i int) *BWStepResult {
+		return runBWStepSeed(c, *pr, pr.Seed+int64(r.Lo+i)*6151)
 	})
+}
+
+// bwstepReduce keeps the first seed's traces; with Seeds > 1 the phase
+// fractions aggregate to mean ± 90% CI.
+func bwstepReduce(_ *BWStepParams, cells []*BWStepResult) *BWStepResult {
 	out := cells[0]
-	if seeds > 1 {
+	if seeds := len(cells); seeds > 1 {
 		out.Seeds = seeds
 		for pi := range out.Phases {
 			tf := make([]float64, seeds)
@@ -255,6 +257,12 @@ func RunBWStep(pr BWStepParams) *BWStepResult {
 		}
 	}
 	return out
+}
+
+// RunBWStep runs the transient, its seeds as independent cells on the
+// sweep runner; results are identical at any parallelism.
+func RunBWStep(pr BWStepParams) *BWStepResult {
+	return bwstepReduce(&pr, bwstepRunRange(&pr, CellRange{0, bwstepCells(&pr)}))
 }
 
 // Table implements Result.

@@ -141,7 +141,6 @@ func init() {
 		Description: "head-to-head fairness grid for the congestion-control zoo",
 		Params:      paramsFn[CCFairParams](DefaultCCFair),
 		Presets:     map[string]func() Params{"paper": paramsFn[CCFairParams](PaperCCFair)},
-		Run:         runAs(func(p *CCFairParams) Result { return RunCCFair(*p) }),
 		Grid:        GridAs(ccfairCells, ccfairRunRange, ccfairReduce),
 	})
 }
@@ -335,7 +334,7 @@ func ccfairCells(pr *CCFairParams) int {
 func ccfairRunRange(pr *CCFairParams, r CellRange) []CCFairCell {
 	seeds := ccfairSeeds(pr)
 	perRTT := len(pr.LinkMbps) * seeds
-	return runCellsCtx(r.Len(), func(c *Cell, i int) CCFairCell {
+	return runCells(r.Len(), func(c *Cell, i int) CCFairCell {
 		idx := r.Lo + i
 		rtt := pr.RTTs[idx/perRTT]
 		bw := pr.LinkMbps[(idx%perRTT)/seeds]

@@ -106,7 +106,6 @@ func init() {
 		Name:        "chaos",
 		Description: "seeded randomized fault soak with hard invariants",
 		Params:      paramsFn[ChaosParams](DefaultChaos),
-		Run:         runAs(func(p *ChaosParams) Result { return RunChaos(*p) }),
 		Grid:        GridAs(chaosCells, chaosRunRange, chaosReduce),
 	})
 }
@@ -208,7 +207,7 @@ func chaosCells(pr *ChaosParams) int { return pr.Cells }
 // chaosRunRange computes soak cells [r.Lo, r.Hi); each cell's seed
 // derives from its absolute index.
 func chaosRunRange(pr *ChaosParams, r CellRange) []ChaosCell {
-	return runCellsCtx(r.Len(), func(c *Cell, i int) ChaosCell {
+	return runCells(r.Len(), func(c *Cell, i int) ChaosCell {
 		idx := r.Lo + i
 		return runChaosCell(c, *pr, chaosFloor, pr.Seed+int64(idx)*9973)
 	})

@@ -175,7 +175,7 @@ func TestFig06CellFairness(t *testing.T) {
 }
 
 func TestFig07PerFlowSpread(t *testing.T) {
-	cells := RunFig07([]int{16}, 40, 20, 1)
+	cells := RunFig07(Fig07Params{TotalFlows: []int{16}, Duration: 40, MeasureTail: 20, Seed: 1}).Cells
 	c := cells[0]
 	if len(c.PerFlowTCP) != 8 || len(c.PerFlowTFRC) != 8 {
 		t.Fatalf("per-flow counts: %d/%d", len(c.PerFlowTCP), len(c.PerFlowTFRC))
@@ -274,7 +274,7 @@ func TestFig14QueueDynamics(t *testing.T) {
 }
 
 func TestFig15TFRCSmoothComparable(t *testing.T) {
-	r := RunFig15(90, 1)
+	r := RunFig15(Fig15Params{Duration: 90, Seed: 1})
 	if r.MeanTFRC <= 0 || r.MeanTCP <= 0 {
 		t.Fatal("starved flow")
 	}
@@ -288,7 +288,7 @@ func TestFig15TFRCSmoothComparable(t *testing.T) {
 }
 
 func TestFig16SolarisAnomaly(t *testing.T) {
-	r := RunFig16([]float64{1, 5, 20}, 90, 1)
+	r := RunFig16(Fig16Params{Timescales: []float64{1, 5, 20}, Duration: 90, Seed: 1})
 	byName := map[string]Fig16Row{}
 	for _, row := range r.Rows {
 		byName[row.Path] = row
@@ -372,7 +372,7 @@ func TestFig21Sweep(t *testing.T) {
 	// p ≤ 0.15; at p = 0.25 the full PFTK equation's timeout term pins
 	// the pre-switch rate below one packet/RTT, which slows the wall-
 	// clock response (documented deviation in EXPERIMENTS.md).
-	r := RunFig21([]float64{0.01, 0.05, 0.1, 0.15}, 0.05)
+	r := RunFig21(Fig21Params{DropRates: []float64{0.01, 0.05, 0.1, 0.15}, RTT: 0.05})
 	for _, row := range r.Rows {
 		if row.RTTs == 0 {
 			t.Fatalf("p=%v never halved", row.DropRate)

@@ -7,7 +7,6 @@ import (
 
 	"tfrc/internal/core"
 	"tfrc/internal/netsim"
-	"tfrc/internal/sim"
 	"tfrc/internal/tfrcsim"
 )
 
@@ -50,7 +49,7 @@ func init() {
 		Aliases:     []string{"2"},
 		Description: "Average Loss Interval dynamics under periodic loss",
 		Params:      paramsFn[Fig02Params](DefaultFig02),
-		Run:         runAs(func(p *Fig02Params) Result { return RunFig02(*p) }),
+		Grid:        cellAs(runFig02),
 	})
 }
 
@@ -88,8 +87,11 @@ func (d *periodicDropper) Recv(p *netsim.Packet) {
 }
 
 // RunFig02 runs the experiment.
-func RunFig02(pr Fig02Params) *Fig02Result {
-	sched := sim.NewScheduler()
+func RunFig02(pr Fig02Params) *Fig02Result { return runOne(&pr, runFig02) }
+
+// runFig02 is the experiment's one cell.
+func runFig02(c *Cell, pr *Fig02Params) *Fig02Result {
+	sched := c.begin()
 	t := netsim.NewTopology(sched, nil)
 	// Plenty of bandwidth so only the injected loss matters.
 	t.Link("src", "dst", netsim.LinkSpec{

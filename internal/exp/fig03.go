@@ -85,7 +85,6 @@ func init() {
 		Aliases:     []string{"3"},
 		Description: "send-rate oscillation vs buffer size (no spacing adjustment)",
 		Params:      paramsFn[Fig03Params](DefaultFig03),
-		Run:         runAs(func(p *Fig03Params) Result { return RunFig03(*p) }),
 		Grid:        GridAs(fig03Cells, fig03RunRange, fig03Reduce),
 	})
 	Register(Descriptor{
@@ -93,7 +92,6 @@ func init() {
 		Aliases:     []string{"4"},
 		Description: "send-rate oscillation vs buffer size (with adjustment)",
 		Params:      paramsFn[Fig03Params](DefaultFig04),
-		Run:         runAs(func(p *Fig03Params) Result { return RunFig03(*p) }),
 		Grid:        GridAs(fig03Cells, fig03RunRange, fig03Reduce),
 	})
 }
@@ -145,7 +143,7 @@ func fig03Cells(pr *Fig03Params) int { return len(pr.BufferSizes) }
 
 // fig03RunRange computes buffer-sweep cells [r.Lo, r.Hi).
 func fig03RunRange(pr *Fig03Params, r CellRange) []Fig03Curve {
-	return runCellsCtx(r.Len(), func(c *Cell, i int) Fig03Curve {
+	return runCells(r.Len(), func(c *Cell, i int) Fig03Curve {
 		return runFig03Buffer(c, *pr, pr.BufferSizes[r.Lo+i])
 	})
 }

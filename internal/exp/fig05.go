@@ -65,7 +65,7 @@ func init() {
 		Aliases:     []string{"5"},
 		Description: "loss-event fraction vs Bernoulli loss probability",
 		Params:      paramsFn[Fig05Params](DefaultFig05),
-		Run:         runAs(func(p *Fig05Params) Result { return RunFig05(*p) }),
+		Grid:        GridAs(fig05Cells, fig05RunRange, fig05Reduce),
 	})
 }
 
@@ -105,19 +105,30 @@ func lossEventFraction(pLoss, mult, rtt float64, pktSize int) float64 {
 	return pEvent
 }
 
-// RunFig05 evaluates the fixed point over the parameter grid, one cell
-// per loss probability.
-func RunFig05(pr Fig05Params) *Fig05Result {
-	res := &Fig05Result{Multiplier: pr.Multiplier}
-	res.Rows = runCells(len(pr.PLoss), func(i int) Fig05Row {
-		p := pr.PLoss[i]
+// fig05Cells is one cell per loss probability.
+func fig05Cells(pr *Fig05Params) int { return len(pr.PLoss) }
+
+// fig05RunRange evaluates the fixed point for cells [r.Lo, r.Hi), one
+// curve point per cell.
+func fig05RunRange(pr *Fig05Params, r CellRange) []Fig05Row {
+	return runCells(r.Len(), func(_ *Cell, i int) Fig05Row {
+		p := pr.PLoss[r.Lo+i]
 		row := Fig05Row{PLoss: p}
 		for _, m := range pr.Multiplier {
 			row.PEvent = append(row.PEvent, lossEventFraction(p, m, pr.RTT, pr.PacketSize))
 		}
 		return row
 	})
-	return res
+}
+
+// fig05Reduce wraps the curve points.
+func fig05Reduce(pr *Fig05Params, rows []Fig05Row) *Fig05Result {
+	return &Fig05Result{Multiplier: pr.Multiplier, Rows: rows}
+}
+
+// RunFig05 evaluates the fixed point over the parameter grid.
+func RunFig05(pr Fig05Params) *Fig05Result {
+	return fig05Reduce(&pr, fig05RunRange(&pr, CellRange{0, fig05Cells(&pr)}))
 }
 
 // Table implements Result.

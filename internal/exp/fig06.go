@@ -90,7 +90,6 @@ func init() {
 		Description: "normalized TCP throughput vs link rate × flows × queue",
 		Params:      paramsFn[Fig06Params](DefaultFig06),
 		Presets:     map[string]func() Params{"paper": paramsFn[Fig06Params](PaperFig06)},
-		Run:         runAs(func(p *Fig06Params) Result { return RunFig06(*p) }),
 		Grid:        GridAs(fig06Cells, fig06RunRange, fig06Reduce),
 	})
 	Register(Descriptor{
@@ -99,7 +98,6 @@ func init() {
 		Description: "per-flow normalized throughput at 15 Mb/s RED",
 		Params:      paramsFn[Fig07Params](DefaultFig07),
 		Presets:     map[string]func() Params{"paper": paramsFn[Fig07Params](PaperFig07)},
-		Run:         runAs(func(p *Fig07Params) Result { return RunFig07Params(*p) }),
 		Grid:        GridAs(fig07Cells, fig07RunRange, fig07Reduce),
 	})
 }
@@ -205,7 +203,7 @@ func fig06Cells(pr *Fig06Params) int {
 func fig06RunRange(pr *Fig06Params, r CellRange) []Fig06Cell {
 	seeds := fig06Seeds(pr)
 	keys := fig06Keys(pr)
-	return runCellsCtx(r.Len(), func(c *Cell, i int) Fig06Cell {
+	return runCells(r.Len(), func(c *Cell, i int) Fig06Cell {
 		idx := r.Lo + i
 		k, rep := keys[idx/seeds], idx%seeds
 		return runFig06Cell(c, k.q, k.bw, k.fl, pr.Duration, pr.MeasureTail,
@@ -292,22 +290,12 @@ func PrintFig07(w io.Writer, cells []Fig06Cell) {
 	}
 }
 
-// RunFig07 runs the 15 Mb/s RED column across flow counts — the paper's
-// Figure 7 slice of the Figure 6 grid.
-func RunFig07(totalFlows []int, duration, tail float64, seed int64) []Fig06Cell {
-	if len(totalFlows) == 0 {
-		totalFlows = []int{16, 32, 48, 64, 80, 96, 112, 128}
-	}
-	p := Fig07Params{TotalFlows: totalFlows, Duration: duration, MeasureTail: tail, Seed: seed}
-	return fig07RunRange(&p, CellRange{0, len(totalFlows)})
-}
-
 // fig07Cells is one cell per flow count.
 func fig07Cells(pr *Fig07Params) int { return len(pr.TotalFlows) }
 
 // fig07RunRange computes the column cells [r.Lo, r.Hi).
 func fig07RunRange(pr *Fig07Params, r CellRange) []Fig06Cell {
-	return runCellsCtx(r.Len(), func(c *Cell, i int) Fig06Cell {
+	return runCells(r.Len(), func(c *Cell, i int) Fig06Cell {
 		return runFig06Cell(c, netsim.QueueRED, 15, pr.TotalFlows[r.Lo+i],
 			pr.Duration, pr.MeasureTail, pr.Seed)
 	})
@@ -318,8 +306,7 @@ func fig07Reduce(_ *Fig07Params, cells []Fig06Cell) *Fig07Result {
 	return &Fig07Result{Cells: cells}
 }
 
-// Fig07Params is the parameter-struct form of RunFig07, the shape the
-// experiment registry serializes.
+// Fig07Params is the Figure 7 column: flow counts at 15 Mb/s RED.
 type Fig07Params struct {
 	TotalFlows  []int
 	Duration    float64
@@ -365,9 +352,10 @@ func (p *Fig07Params) SetSeed(seed int64) { p.Seed = seed }
 // Fig07Result wraps the per-flow scatter cells.
 type Fig07Result struct{ Cells []Fig06Cell }
 
-// RunFig07Params is RunFig07 on the registry's parameter struct.
-func RunFig07Params(pr Fig07Params) *Fig07Result {
-	return &Fig07Result{Cells: RunFig07(pr.TotalFlows, pr.Duration, pr.MeasureTail, pr.Seed)}
+// RunFig07 runs the 15 Mb/s RED column across flow counts — the
+// paper's Figure 7 slice of the Figure 6 grid.
+func RunFig07(pr Fig07Params) *Fig07Result {
+	return fig07Reduce(&pr, fig07RunRange(&pr, CellRange{0, fig07Cells(&pr)}))
 }
 
 // Table implements Result.

@@ -108,15 +108,33 @@ func (p *Fig08GridParams) SetSeeds(n int) { p.Seeds = n }
 // Fig08GridResult is one Fig08Result per requested queue discipline.
 type Fig08GridResult struct{ Results []*Fig08Result }
 
-// RunFig08Grid runs the trace experiment for every queue discipline.
-func RunFig08Grid(pr Fig08GridParams) *Fig08GridResult {
+// queue is the per-queue trace experiment the grid runs for q.
+func (p *Fig08GridParams) queue(q netsim.QueueKind) Fig08Params {
+	qp := DefaultFig08(q)
+	qp.Flows, qp.Seed, qp.Seeds = p.Flows, p.Seed, p.Seeds
+	return qp
+}
+
+// fig08GridCells flattens the (queue × seed) grid queue-major.
+func fig08GridCells(pr *Fig08GridParams) int { return len(pr.Queues) * max(pr.Seeds, 1) }
+
+// fig08GridRunRange computes cells [r.Lo, r.Hi), one trace simulation
+// per cell.
+func fig08GridRunRange(pr *Fig08GridParams, r CellRange) []*Fig08Result {
+	seeds := max(pr.Seeds, 1)
+	return runCells(r.Len(), func(c *Cell, i int) *Fig08Result {
+		idx := r.Lo + i
+		qp := pr.queue(pr.Queues[idx/seeds])
+		return runFig08Seed(c, &qp, idx%seeds)
+	})
+}
+
+// fig08GridReduce aggregates each queue's seeds in queue order.
+func fig08GridReduce(pr *Fig08GridParams, cells []*Fig08Result) *Fig08GridResult {
+	seeds := max(pr.Seeds, 1)
 	out := &Fig08GridResult{}
-	for _, q := range pr.Queues {
-		qp := DefaultFig08(q)
-		qp.Flows = pr.Flows
-		qp.Seed = pr.Seed
-		qp.Seeds = pr.Seeds
-		out.Results = append(out.Results, RunFig08(qp))
+	for qi := range pr.Queues {
+		out.Results = append(out.Results, fig08Reduce(nil, cells[qi*seeds:(qi+1)*seeds]))
 	}
 	return out
 }
@@ -138,7 +156,7 @@ func init() {
 		Aliases:     []string{"8"},
 		Description: "per-flow throughput traces (DropTail and RED)",
 		Params:      paramsFn[Fig08GridParams](DefaultFig08Grid),
-		Run:         runAs(func(p *Fig08GridParams) Result { return RunFig08Grid(*p) }),
+		Grid:        GridAs(fig08GridCells, fig08GridRunRange, fig08GridReduce),
 	})
 }
 
@@ -158,8 +176,8 @@ type Fig08Result struct {
 	CoVTFRCCI float64
 }
 
-// runFig08Seed runs one trace simulation at one seed.
-func runFig08Seed(pr Fig08Params, seed int64) *Fig08Result {
+// runFig08Seed runs one trace simulation at seed replicate rep.
+func runFig08Seed(c *Cell, pr *Fig08Params, rep int) *Fig08Result {
 	n := pr.Flows / 2
 	sc := Scenario{
 		NTCP:         n,
@@ -173,9 +191,9 @@ func runFig08Seed(pr Fig08Params, seed int64) *Fig08Result {
 		Duration:     pr.Duration,
 		Warmup:       pr.TraceFrom,
 		BinWidth:     pr.BinWidth,
-		Seed:         seed,
+		Seed:         pr.Seed + int64(rep)*6151,
 	}
-	res := RunScenario(sc)
+	res := runScenarioCell(c, sc)
 	out := &Fig08Result{Queue: pr.Queue, BinWidth: pr.BinWidth}
 	for i := 0; i < pr.NTrace && i < len(res.TCPSeries); i++ {
 		out.TCPTraces = append(out.TCPTraces, res.TCPSeries[i])
@@ -199,19 +217,19 @@ func runFig08Seed(pr Fig08Params, seed int64) *Fig08Result {
 	return out
 }
 
-// RunFig08 runs the trace experiment. With Seeds > 1 the seeds execute
-// as independent cells on the sweep runner and the CoV summaries
-// aggregate to mean ± 90% CI; results are identical at any parallelism.
-func RunFig08(pr Fig08Params) *Fig08Result {
-	seeds := pr.Seeds
-	if seeds < 1 {
-		seeds = 1
-	}
-	cells := runCells(seeds, func(i int) *Fig08Result {
-		return runFig08Seed(pr, pr.Seed+int64(i)*6151)
-	})
+// fig08Cells is one cell per seed replicate.
+func fig08Cells(pr *Fig08Params) int { return max(pr.Seeds, 1) }
+
+// fig08RunRange computes seed replicates [r.Lo, r.Hi).
+func fig08RunRange(pr *Fig08Params, r CellRange) []*Fig08Result {
+	return runCells(r.Len(), func(c *Cell, i int) *Fig08Result { return runFig08Seed(c, pr, r.Lo+i) })
+}
+
+// fig08Reduce keeps the first seed's traces; with Seeds > 1 the CoV
+// summaries aggregate to mean ± 90% CI.
+func fig08Reduce(_ *Fig08Params, cells []*Fig08Result) *Fig08Result {
 	out := cells[0]
-	if seeds > 1 {
+	if seeds := len(cells); seeds > 1 {
 		covT := make([]float64, seeds)
 		covF := make([]float64, seeds)
 		for i, c := range cells {
@@ -222,6 +240,13 @@ func RunFig08(pr Fig08Params) *Fig08Result {
 		out.CoVTFRC, out.CoVTFRCCI = stats.MeanCI90(covF)
 	}
 	return out
+}
+
+// RunFig08 runs the trace experiment on one queue discipline. With
+// Seeds > 1 the seeds execute as independent cells on the sweep runner;
+// results are identical at any parallelism.
+func RunFig08(pr Fig08Params) *Fig08Result {
+	return fig08Reduce(&pr, fig08RunRange(&pr, CellRange{0, fig08Cells(&pr)}))
 }
 
 // Table implements Result.

@@ -56,15 +56,7 @@ func (p *Fig09Params) Validate() error {
 	if p.Duration <= 0 || p.Warmup < 0 || p.Warmup >= p.Duration {
 		return fmt.Errorf("need 0 <= Warmup < Duration, got Warmup=%v Duration=%v", p.Warmup, p.Duration)
 	}
-	if len(p.Timescales) == 0 {
-		return fmt.Errorf("Timescales must be non-empty")
-	}
-	for _, ts := range p.Timescales {
-		if ts <= 0 {
-			return fmt.Errorf("timescales must be positive, got %v", ts)
-		}
-	}
-	return nil
+	return validateTimescales(p.Timescales)
 }
 
 // SetSeed implements SeedSetter.
@@ -77,7 +69,6 @@ func init() {
 		Description: "equivalence ratio and CoV vs timescale (incl. fig 10)",
 		Params:      paramsFn[Fig09Params](DefaultFig09),
 		Presets:     map[string]func() Params{"paper": paramsFn[Fig09Params](PaperFig09)},
-		Run:         runAs(func(p *Fig09Params) Result { return RunFig09(*p) }),
 		Grid:        GridAs(fig09Cells, fig09RunRange, fig09Reduce),
 	})
 }
@@ -110,8 +101,7 @@ func fig09Cells(pr *Fig09Params) int { return pr.Runs }
 // simulation whose seed derives from its absolute run index.
 func fig09RunRange(pr *Fig09Params, r CellRange) []Fig09Run {
 	nscale := len(pr.Timescales)
-	base := 0.1
-	return runCellsCtx(r.Len(), func(c *Cell, i int) Fig09Run {
+	return runCells(r.Len(), func(c *Cell, i int) Fig09Run {
 		run := r.Lo + i
 		sc := Scenario{
 			NTCP:          pr.FlowsEach,
@@ -127,7 +117,7 @@ func fig09RunRange(pr *Fig09Params, r CellRange) []Fig09Run {
 			TCPVariant:    tcp.Sack,
 			Duration:      pr.Duration,
 			Warmup:        pr.Warmup,
-			BinWidth:      base,
+			BinWidth:      baseBin,
 			Seed:          pr.Seed + int64(run)*1000,
 		}
 		res := runScenarioCell(c, sc)
@@ -139,10 +129,7 @@ func fig09RunRange(pr *Fig09Params, r CellRange) []Fig09Run {
 			CoVT: make([]float64, nscale), CoVF: make([]float64, nscale),
 		}
 		for i, ts := range pr.Timescales {
-			k := int(ts/base + 0.5)
-			if k < 1 {
-				k = 1
-			}
+			k := rebinFactor(ts)
 			a, b := stats.Rebin(tcp0, k), stats.Rebin(tcp1, k)
 			f, g := stats.Rebin(tf0, k), stats.Rebin(tf1, k)
 			out.EqTT[i] = stats.EquivalenceRatio(a, b)

@@ -3,6 +3,7 @@ package exp
 import (
 	"fmt"
 	"io"
+	"math"
 
 	"tfrc/internal/netsim"
 	"tfrc/internal/stats"
@@ -57,13 +58,8 @@ func (p *Fig11Params) Validate() error {
 	if p.Duration <= 0 || p.Warmup < 0 || p.Warmup >= p.Duration {
 		return fmt.Errorf("need 0 <= Warmup < Duration, got Warmup=%v Duration=%v", p.Warmup, p.Duration)
 	}
-	if len(p.Timescales) == 0 {
-		return fmt.Errorf("Timescales must be non-empty")
-	}
-	for _, ts := range p.Timescales {
-		if ts <= 0 {
-			return fmt.Errorf("timescales must be positive, got %v", ts)
-		}
+	if err := validateTimescales(p.Timescales); err != nil {
+		return err
 	}
 	if p.Runs < 1 {
 		return fmt.Errorf("Runs must be at least 1, got %d", p.Runs)
@@ -81,9 +77,45 @@ func init() {
 		Description: "ON/OFF background sweep (incl. figs 12, 13)",
 		Params:      paramsFn[Fig11Params](DefaultFig11),
 		Presets:     map[string]func() Params{"paper": paramsFn[Fig11Params](PaperFig11)},
-		Run:         runAs(func(p *Fig11Params) Result { return RunFig11(*p) }),
 		Grid:        GridAs(fig11Cells, fig11RunRange, fig11Reduce),
 	})
+}
+
+// baseBin is the bin width (seconds) the timescale studies (figures
+// 9-13, 16 and 17) record their series at; every coarser timescale is a
+// whole number of base bins merged by stats.Rebin.
+const baseBin = 0.1
+
+// validateTimescales accepts only timescales that are whole multiples
+// (at least 1) of baseBin: a rebin cannot measure anything finer or in
+// between.
+func validateTimescales(timescales []float64) error {
+	if len(timescales) == 0 {
+		return fmt.Errorf("Timescales must be non-empty")
+	}
+	for _, ts := range timescales {
+		if k := math.Round(ts / baseBin); !(k >= 1 && math.Abs(ts/baseBin-k) <= 1e-9*k) {
+			return fmt.Errorf("timescales must be whole multiples of the %v s base bin, got %v", baseBin, ts)
+		}
+	}
+	return nil
+}
+
+// rebinFactor is the number of base bins in a validated timescale.
+func rebinFactor(ts float64) int { return int(ts/baseBin + 0.5) }
+
+// timescaleMetrics rebins a TCP and a TFRC series recorded at baseBin to
+// each timescale, returning per timescale their equivalence ratio and
+// the TFRC and TCP coefficients of variation.
+func timescaleMetrics(tcpS, tfS, timescales []float64) (eq, covTFRC, covTCP []float64) {
+	for _, ts := range timescales {
+		k := rebinFactor(ts)
+		a, f := stats.Rebin(tcpS, k), stats.Rebin(tfS, k)
+		eq = append(eq, stats.EquivalenceRatio(a, f))
+		covTFRC = append(covTFRC, stats.CoV(f))
+		covTCP = append(covTCP, stats.CoV(a))
+	}
+	return eq, covTFRC, covTCP
 }
 
 // Fig11Row summarizes one source count.
@@ -118,9 +150,7 @@ func fig11Cells(pr *Fig11Params) int { return len(pr.Sources) * pr.Runs }
 // fig11RunRange computes cells [r.Lo, r.Hi); each cell's seed derives
 // from its absolute (source count, run) coordinates.
 func fig11RunRange(pr *Fig11Params, r CellRange) []Fig11Cell {
-	base := 0.1
-	nscale := len(pr.Timescales)
-	return runCellsCtx(r.Len(), func(c *Cell, i int) Fig11Cell {
+	return runCells(r.Len(), func(c *Cell, i int) Fig11Cell {
 		idx := r.Lo + i
 		n, run := pr.Sources[idx/pr.Runs], idx%pr.Runs
 		sc := Scenario{
@@ -136,27 +166,12 @@ func fig11RunRange(pr *Fig11Params, r CellRange) []Fig11Cell {
 			OnOffSources:  n,
 			Duration:      pr.Duration,
 			Warmup:        pr.Warmup,
-			BinWidth:      base,
+			BinWidth:      baseBin,
 			Seed:          pr.Seed + int64(run)*977 + int64(n),
 		}
 		sr := runScenarioCell(c, sc)
-		out := Fig11Cell{
-			Loss:    sr.DropRate,
-			Eq:      make([]float64, nscale),
-			CoVTFRC: make([]float64, nscale),
-			CoVTCP:  make([]float64, nscale),
-		}
-		tcpS, tfS := sr.TCPSeries[0], sr.TFRCSeries[0]
-		for i, ts := range pr.Timescales {
-			k := int(ts/base + 0.5)
-			if k < 1 {
-				k = 1
-			}
-			a, f := stats.Rebin(tcpS, k), stats.Rebin(tfS, k)
-			out.Eq[i] = stats.EquivalenceRatio(a, f)
-			out.CoVTFRC[i] = stats.CoV(f)
-			out.CoVTCP[i] = stats.CoV(a)
-		}
+		out := Fig11Cell{Loss: sr.DropRate}
+		out.Eq, out.CoVTFRC, out.CoVTCP = timescaleMetrics(sr.TCPSeries[0], sr.TFRCSeries[0], pr.Timescales)
 		return out
 	})
 }

@@ -79,7 +79,7 @@ func init() {
 		Aliases:     []string{"14"},
 		Description: "queue dynamics: 40 TCP vs 40 TFRC flows",
 		Params:      paramsFn[Fig14Params](DefaultFig14),
-		Run:         runAs(func(p *Fig14Params) Result { return RunFig14(*p) }),
+		Grid:        GridAs(fig14Cells, fig14RunRange, fig14Reduce),
 	})
 }
 
@@ -101,7 +101,7 @@ type Fig14Side struct {
 // Fig14Result pairs the TCP and TFRC runs.
 type Fig14Result struct{ TCP, TFRC Fig14Side }
 
-func runFig14Side(pr Fig14Params, useTFRC bool, seed int64) Fig14Side {
+func runFig14Side(c *Cell, pr *Fig14Params, useTFRC bool, seed int64) Fig14Side {
 	sc := Scenario{
 		BottleneckBW:  pr.LinkMbps * 1e6,
 		BottleneckDly: 0.010, // paper: RTTs roughly 45 ms
@@ -122,7 +122,7 @@ func runFig14Side(pr Fig14Params, useTFRC bool, seed int64) Fig14Side {
 	} else {
 		sc.NTCP = pr.Flows
 	}
-	r := RunScenario(sc)
+	r := runScenarioCell(c, sc)
 	return Fig14Side{
 		Protocol:    name,
 		Queue:       r.Queue,
@@ -132,18 +132,23 @@ func runFig14Side(pr Fig14Params, useTFRC bool, seed int64) Fig14Side {
 	}
 }
 
-// RunFig14 runs both sides as independent cells on the sweep runner:
-// the (side × seed) grid flattens side-major, so results are identical
-// at any parallelism and multi-seed runs gain 90% CIs.
-func RunFig14(pr Fig14Params) *Fig14Result {
-	seeds := pr.Seeds
-	if seeds < 1 {
-		seeds = 1
-	}
-	cells := runCells(2*seeds, func(i int) Fig14Side {
-		useTFRC, rep := i/seeds == 1, i%seeds
-		return runFig14Side(pr, useTFRC, pr.Seed+int64(rep)*6151)
+// fig14Cells flattens the (side × seed) grid side-major: TCP first.
+func fig14Cells(pr *Fig14Params) int { return 2 * max(pr.Seeds, 1) }
+
+// fig14RunRange computes cells [r.Lo, r.Hi), one side at one seed each.
+func fig14RunRange(pr *Fig14Params, r CellRange) []Fig14Side {
+	seeds := max(pr.Seeds, 1)
+	return runCells(r.Len(), func(c *Cell, i int) Fig14Side {
+		idx := r.Lo + i
+		useTFRC, rep := idx/seeds == 1, idx%seeds
+		return runFig14Side(c, pr, useTFRC, pr.Seed+int64(rep)*6151)
 	})
+}
+
+// fig14Reduce keeps each side's first-seed queue trace; multi-seed runs
+// aggregate the scalar summaries to mean ± 90% CI.
+func fig14Reduce(pr *Fig14Params, cells []Fig14Side) *Fig14Result {
+	seeds := max(pr.Seeds, 1)
 	aggregate := func(group []Fig14Side) Fig14Side {
 		side := group[0]
 		if seeds > 1 {
@@ -164,6 +169,13 @@ func RunFig14(pr Fig14Params) *Fig14Result {
 		TCP:  aggregate(cells[:seeds]),
 		TFRC: aggregate(cells[seeds:]),
 	}
+}
+
+// RunFig14 runs both sides as independent cells on the sweep runner;
+// results are identical at any parallelism and multi-seed runs gain
+// 90% CIs.
+func RunFig14(pr Fig14Params) *Fig14Result {
+	return fig14Reduce(&pr, fig14RunRange(&pr, CellRange{0, fig14Cells(&pr)}))
 }
 
 // Table implements Result.

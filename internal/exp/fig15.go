@@ -58,7 +58,7 @@ func pathScenario(p Path, nTCP, nTFRC int, duration, warmup float64, seed int64)
 		OnOffSources:   p.OnOffSources,
 		Duration:       duration,
 		Warmup:         warmup,
-		BinWidth:       0.1,
+		BinWidth:       baseBin,
 		Seed:           seed,
 	}
 }
@@ -116,13 +116,8 @@ func PaperFig16() Fig16Params {
 
 // Validate implements Params.
 func (p *Fig16Params) Validate() error {
-	if len(p.Timescales) == 0 {
-		return fmt.Errorf("Timescales must be non-empty")
-	}
-	for _, ts := range p.Timescales {
-		if ts <= 0 {
-			return fmt.Errorf("timescales must be positive, got %v", ts)
-		}
+	if err := validateTimescales(p.Timescales); err != nil {
+		return err
 	}
 	if p.Duration <= 0 {
 		return fmt.Errorf("Duration must be positive, got %v", p.Duration)
@@ -140,9 +135,7 @@ func init() {
 		Description: "3 TCP + 1 TFRC on the transcontinental path profile",
 		Params:      paramsFn[Fig15Params](DefaultFig15),
 		Presets:     map[string]func() Params{"paper": paramsFn[Fig15Params](PaperFig15)},
-		Run: runAs(func(p *Fig15Params) Result {
-			return RunFig15Seeds(p.Duration, p.Seed, p.Seeds)
-		}),
+		Grid:        GridAs(fig15Cells, fig15RunRange, fig15Reduce),
 	})
 	Register(Descriptor{
 		Name:        "fig16",
@@ -150,10 +143,7 @@ func init() {
 		Description: "equivalence and CoV across path profiles (incl. fig 17)",
 		Params:      paramsFn[Fig16Params](DefaultFig16),
 		Presets:     map[string]func() Params{"paper": paramsFn[Fig16Params](PaperFig16)},
-		Run: runAs(func(p *Fig16Params) Result {
-			return RunFig16(p.Timescales, p.Duration, p.Seed)
-		}),
-		Grid: GridAs(fig16Cells, fig16RunRange, fig16Reduce),
+		Grid:        GridAs(fig16Cells, fig16RunRange, fig16Reduce),
 	})
 }
 
@@ -175,11 +165,11 @@ type Fig15Result struct {
 	MeanTFRCCI float64
 }
 
-func runFig15Seed(duration float64, seed int64) *Fig15Result {
+func runFig15Seed(c *Cell, duration float64, seed int64) *Fig15Result {
 	p := Paths()[0]
 	sc := pathScenario(p, 3, 1, duration, duration/6, seed)
 	sc.BinWidth = 1.0
-	r := RunScenario(sc)
+	r := runScenarioCell(c, sc)
 	out := &Fig15Result{BinWidth: 1.0, TFRCTrace: r.TFRCSeries[0]}
 	out.TCPTraces = r.TCPSeries
 	var covSum float64
@@ -194,26 +184,21 @@ func runFig15Seed(duration float64, seed int64) *Fig15Result {
 	return out
 }
 
-// RunFig15 runs the trace experiment on the UCL-like path.
-func RunFig15(duration float64, seed int64) *Fig15Result {
-	return RunFig15Seeds(duration, seed, 1)
+// fig15Cells is one cell per seed replicate.
+func fig15Cells(pr *Fig15Params) int { return max(pr.Seeds, 1) }
+
+// fig15RunRange computes seed replicates [r.Lo, r.Hi).
+func fig15RunRange(pr *Fig15Params, r CellRange) []*Fig15Result {
+	return runCells(r.Len(), func(c *Cell, i int) *Fig15Result {
+		return runFig15Seed(c, pr.Duration, pr.Seed+int64(r.Lo+i)*6151)
+	})
 }
 
-// RunFig15Seeds runs the experiment at seeds independent seeds on the
-// sweep runner, aggregating the mean-throughput summaries to mean ± 90%
-// CI; results are identical at any parallelism.
-func RunFig15Seeds(duration float64, seed int64, seeds int) *Fig15Result {
-	if duration == 0 {
-		duration = 120
-	}
-	if seeds < 1 {
-		seeds = 1
-	}
-	cells := runCells(seeds, func(i int) *Fig15Result {
-		return runFig15Seed(duration, seed+int64(i)*6151)
-	})
+// fig15Reduce keeps the first seed's traces; with Seeds > 1 the
+// mean-throughput summaries aggregate to mean ± 90% CI.
+func fig15Reduce(_ *Fig15Params, cells []*Fig15Result) *Fig15Result {
 	out := cells[0]
-	if seeds > 1 {
+	if seeds := len(cells); seeds > 1 {
 		meanT := make([]float64, seeds)
 		meanF := make([]float64, seeds)
 		for i, c := range cells {
@@ -224,6 +209,13 @@ func RunFig15Seeds(duration float64, seed int64, seeds int) *Fig15Result {
 		out.MeanTFRC, out.MeanTFRCCI = stats.MeanCI90(meanF)
 	}
 	return out
+}
+
+// RunFig15 runs the trace experiment on the UCL-like path, its seeds as
+// independent cells on the sweep runner; results are identical at any
+// parallelism.
+func RunFig15(pr Fig15Params) *Fig15Result {
+	return fig15Reduce(&pr, fig15RunRange(&pr, CellRange{0, fig15Cells(&pr)}))
 }
 
 // Table implements Result.
@@ -270,24 +262,12 @@ func fig16Cells(pr *Fig16Params) int { return len(Paths()) }
 // fig16RunRange computes path cells [r.Lo, r.Hi) over the profile
 // catalogue.
 func fig16RunRange(pr *Fig16Params, r CellRange) []Fig16Row {
-	base := 0.1
 	paths := Paths()
-	return runCells(r.Len(), func(i int) Fig16Row {
+	return runCells(r.Len(), func(c *Cell, i int) Fig16Row {
 		p := paths[r.Lo+i]
-		sc := pathScenario(p, 1, 1, pr.Duration, pr.Duration/6, pr.Seed)
-		sr := RunScenario(sc)
-		tcpS, tfS := sr.TCPSeries[0], sr.TFRCSeries[0]
+		sr := runScenarioCell(c, pathScenario(p, 1, 1, pr.Duration, pr.Duration/6, pr.Seed))
 		row := Fig16Row{Path: p.Name}
-		for _, ts := range pr.Timescales {
-			k := int(ts/base + 0.5)
-			if k < 1 {
-				k = 1
-			}
-			a, f := stats.Rebin(tcpS, k), stats.Rebin(tfS, k)
-			row.Eq = append(row.Eq, stats.EquivalenceRatio(a, f))
-			row.CoVTFRC = append(row.CoVTFRC, stats.CoV(f))
-			row.CoVTCP = append(row.CoVTCP, stats.CoV(a))
-		}
+		row.Eq, row.CoVTFRC, row.CoVTCP = timescaleMetrics(sr.TCPSeries[0], sr.TFRCSeries[0], pr.Timescales)
 		return row
 	})
 }
@@ -297,16 +277,8 @@ func fig16Reduce(pr *Fig16Params, rows []Fig16Row) *Fig16Result {
 	return &Fig16Result{Timescales: pr.Timescales, Rows: rows}
 }
 
-// RunFig16 runs one TFRC against one TCP on every path profile. Zero
-// arguments fill in the laptop-scale defaults.
-func RunFig16(timescales []float64, duration float64, seed int64) *Fig16Result {
-	if len(timescales) == 0 {
-		timescales = []float64{0.5, 1, 2, 5, 10, 20, 50}
-	}
-	if duration == 0 {
-		duration = 120
-	}
-	pr := Fig16Params{Timescales: timescales, Duration: duration, Seed: seed}
+// RunFig16 runs one TFRC against one TCP on every path profile.
+func RunFig16(pr Fig16Params) *Fig16Result {
 	return fig16Reduce(&pr, fig16RunRange(&pr, CellRange{0, fig16Cells(&pr)}))
 }
 

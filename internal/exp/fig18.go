@@ -63,7 +63,7 @@ func init() {
 		Description: "loss-predictor error vs history size and weighting",
 		Params:      paramsFn[Fig18Params](DefaultFig18),
 		Presets:     map[string]func() Params{"paper": paramsFn[Fig18Params](PaperFig18)},
-		Run:         runAs(func(p *Fig18Params) Result { return RunFig18(*p) }),
+		Grid:        GridAs(fig18Cells, fig18RunRange, fig18Reduce),
 	})
 }
 
@@ -109,72 +109,77 @@ func (d *bernoulliDropper) Recv(pk *netsim.Packet) {
 	d.next.Recv(pk)
 }
 
-// collectTraces gathers loss-interval sequences from three independent
-// conditions, run as parallel sweep cells.
-func collectTraces(duration float64, seed int64) [][]float64 {
-	// Conditions 0, 1: DropTail / RED dumbbell shared with TCP.
-	congested := func(i int, q netsim.QueueKind) []float64 {
-		var log []float64
-		cfg := tfrcsim.DefaultConfig()
-		cfg.Estimator = recEst{core.NewALI(core.DefaultLossHistory()), &log}
-		sc := Scenario{
-			NTCP:         2,
-			NTFRC:        1,
-			BottleneckBW: 4e6,
-			Queue:        q,
-			TCPVariant:   tcp.Sack,
-			TFRC:         cfg,
-			Duration:     duration,
-			BinWidth:     1,
-			Seed:         seed + int64(i),
-		}
-		RunScenario(sc)
-		return log
-	}
-	// Condition 2: step-changing Bernoulli loss on a clean pipe.
-	bernoulli := func() []float64 {
-		var log []float64
-		sched := sim.NewScheduler()
-		t := netsim.NewTopology(sched, nil)
-		t.Link("src", "dst", netsim.LinkSpec{
-			Bandwidth: 1e8, Delay: 0.030,
-			Queue: netsim.QueueDropTail, QueueLimit: 10000,
-		})
-		nw := t.Build()
-		a, b := t.Lookup("src"), t.Lookup("dst")
-		cfg := tfrcsim.DefaultConfig()
-		cfg.Estimator = recEst{core.NewALI(core.DefaultLossHistory()), &log}
-		rcv := tfrcsim.NewReceiver(nw, b, 5, 0, cfg)
-		snd := tfrcsim.NewSender(nw, a, b.ID, 1, 2, 0, cfg)
-		drop := &bernoulliDropper{nw: nw, next: rcv, p: 0.02, rng: sim.NewRand(seed + 9)}
-		b.Attach(1, drop)
-		rates := []float64{0.05, 0.01, 0.08, 0.005, 0.03}
-		for i, r := range rates {
-			r := r
-			sched.At(duration*float64(i+1)/6, func() { drop.p = r })
-		}
-		snd.Start(0)
-		sched.RunUntil(duration)
-		return log
-	}
-	return runCells(3, func(i int) []float64 {
-		switch i {
+// fig18Cells is one cell per trace source: DropTail congestion, RED
+// congestion, and step-changing Bernoulli loss.
+func fig18Cells(*Fig18Params) int { return 3 }
+
+// fig18RunRange harvests the loss-interval traces of sources
+// [r.Lo, r.Hi).
+func fig18RunRange(pr *Fig18Params, r CellRange) [][]float64 {
+	return runCells(r.Len(), func(c *Cell, i int) []float64 {
+		switch src := r.Lo + i; src {
 		case 0:
-			return congested(0, netsim.QueueDropTail)
+			return fig18Congested(c, pr, src, netsim.QueueDropTail)
 		case 1:
-			return congested(1, netsim.QueueRED)
+			return fig18Congested(c, pr, src, netsim.QueueRED)
 		default:
-			return bernoulli()
+			return fig18Bernoulli(c, pr)
 		}
 	})
 }
 
-// RunFig18 harvests traces and evaluates every estimator configuration as
-// a one-step-ahead predictor: after each closed interval the estimator
-// predicts p̂, which is scored against the realized next interval's rate
-// 1/s_next.
-func RunFig18(pr Fig18Params) *Fig18Result {
-	traces := collectTraces(pr.Duration, pr.Seed)
+// fig18Congested records the intervals of a TFRC flow sharing a
+// dumbbell with TCP.
+func fig18Congested(c *Cell, pr *Fig18Params, src int, q netsim.QueueKind) []float64 {
+	var log []float64
+	cfg := tfrcsim.DefaultConfig()
+	cfg.Estimator = recEst{core.NewALI(core.DefaultLossHistory()), &log}
+	runScenarioCell(c, Scenario{
+		NTCP:         2,
+		NTFRC:        1,
+		BottleneckBW: 4e6,
+		Queue:        q,
+		TCPVariant:   tcp.Sack,
+		TFRC:         cfg,
+		Duration:     pr.Duration,
+		BinWidth:     1,
+		Seed:         pr.Seed + int64(src),
+	})
+	return log
+}
+
+// fig18Bernoulli records the intervals of a TFRC flow on a clean pipe
+// with step-changing Bernoulli loss.
+func fig18Bernoulli(c *Cell, pr *Fig18Params) []float64 {
+	var log []float64
+	sched := c.begin()
+	t := netsim.NewTopology(sched, nil)
+	t.Link("src", "dst", netsim.LinkSpec{
+		Bandwidth: 1e8, Delay: 0.030,
+		Queue: netsim.QueueDropTail, QueueLimit: 10000,
+	})
+	nw := t.Build()
+	a, b := t.Lookup("src"), t.Lookup("dst")
+	cfg := tfrcsim.DefaultConfig()
+	cfg.Estimator = recEst{core.NewALI(core.DefaultLossHistory()), &log}
+	rcv := tfrcsim.NewReceiver(nw, b, 5, 0, cfg)
+	snd := tfrcsim.NewSender(nw, a, b.ID, 1, 2, 0, cfg)
+	drop := &bernoulliDropper{nw: nw, next: rcv, p: 0.02, rng: sim.NewRand(pr.Seed + 9)}
+	b.Attach(1, drop)
+	rates := []float64{0.05, 0.01, 0.08, 0.005, 0.03}
+	for i, r := range rates {
+		sched.At(pr.Duration*float64(i+1)/6, func() { drop.p = r })
+	}
+	snd.Start(0)
+	sched.RunUntil(pr.Duration)
+	return log
+}
+
+// fig18Reduce evaluates every estimator configuration over the traces
+// as a one-step-ahead predictor: after each closed interval the
+// estimator predicts p̂, which is scored against the realized next
+// interval's rate 1/s_next.
+func fig18Reduce(pr *Fig18Params, traces [][]float64) *Fig18Result {
 	res := &Fig18Result{}
 	for _, constant := range []bool{true, false} {
 		for _, n := range pr.HistorySizes {
@@ -208,6 +213,12 @@ func RunFig18(pr Fig18Params) *Fig18Result {
 		}
 	}
 	return res
+}
+
+// RunFig18 harvests the traces and scores every estimator
+// configuration.
+func RunFig18(pr Fig18Params) *Fig18Result {
+	return fig18Reduce(&pr, fig18RunRange(&pr, CellRange{0, fig18Cells(&pr)}))
 }
 
 // Table implements Result.

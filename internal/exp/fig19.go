@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"tfrc/internal/netsim"
-	"tfrc/internal/sim"
 	"tfrc/internal/tfrcsim"
 )
 
@@ -92,21 +91,20 @@ func init() {
 		Aliases:     []string{"19"},
 		Description: "rate increase after congestion ends",
 		Params:      paramsFn[Fig19Params](DefaultFig19),
-		Run:         runAs(func(p *Fig19Params) Result { return RunFig19(*p) }),
+		Grid:        cellAs(runFig19),
 	})
 	Register(Descriptor{
 		Name:        "fig20",
 		Aliases:     []string{"20"},
 		Description: "rate decrease under persistent congestion",
 		Params:      paramsFn[Fig19Params](DefaultFig20),
-		Run:         runAs(func(p *Fig19Params) Result { return RunFig19(*p) }),
+		Grid:        cellAs(runFig19),
 	})
 	Register(Descriptor{
 		Name:        "fig21",
 		Aliases:     []string{"21"},
 		Description: "round-trips to halve the rate vs initial drop rate",
 		Params:      paramsFn[Fig21Params](DefaultFig21),
-		Run:         runAs(func(p *Fig21Params) Result { return RunFig21(p.DropRates, p.RTT) }),
 		Grid:        GridAs(fig21Cells, fig21RunRange, fig21Reduce),
 	})
 }
@@ -135,8 +133,11 @@ type Fig19Result struct {
 }
 
 // RunFig19 runs the trace experiment.
-func RunFig19(pr Fig19Params) *Fig19Result {
-	sched := sim.NewScheduler()
+func RunFig19(pr Fig19Params) *Fig19Result { return runOne(&pr, runFig19) }
+
+// runFig19 is the trace experiment's one cell.
+func runFig19(c *Cell, pr *Fig19Params) *Fig19Result {
+	sched := c.begin()
 	t := netsim.NewTopology(sched, nil)
 	t.Link("src", "dst", netsim.LinkSpec{
 		Bandwidth: 1e9, Delay: pr.RTT / 2,
@@ -218,13 +219,13 @@ func fig21Cells(pr *Fig21Params) int { return len(pr.DropRates) }
 
 // fig21RunRange computes sweep cells [r.Lo, r.Hi).
 func fig21RunRange(pr *Fig21Params, r CellRange) []Fig21Row {
-	return runCells(r.Len(), func(i int) Fig21Row {
+	return runCells(r.Len(), func(c *Cell, i int) Fig21Row {
 		p := pr.DropRates[r.Lo+i]
 		every := int(1/p + 0.5)
 		if every < 3 {
 			every = 3
 		}
-		res := RunFig19(Fig19Params{
+		res := runFig19(c, &Fig19Params{
 			DropEveryBefore: every,
 			DropEveryAfter:  2,
 			SwitchTime:      10,
@@ -242,12 +243,8 @@ func fig21Reduce(pr *Fig21Params, rows []Fig21Row) *Fig21Result {
 
 // RunFig21 sweeps the pre-switch packet drop rate as in Figure 21,
 // switching to every-2nd-packet loss at t = 10 and counting round-trips
-// until the rate halves. Zero arguments fill in the defaults.
-func RunFig21(dropRates []float64, rtt float64) *Fig21Result {
-	if len(dropRates) == 0 {
-		dropRates = []float64{0.005, 0.01, 0.02, 0.05, 0.1, 0.15, 0.2, 0.25}
-	}
-	pr := Fig21Params{DropRates: dropRates, RTT: rtt}
+// until the rate halves.
+func RunFig21(pr Fig21Params) *Fig21Result {
 	return fig21Reduce(&pr, fig21RunRange(&pr, CellRange{0, fig21Cells(&pr)}))
 }
 

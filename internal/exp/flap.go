@@ -83,7 +83,7 @@ func init() {
 		Name:        "flap",
 		Description: "riding out repeated hard outages of the bottleneck",
 		Params:      paramsFn[FlapParams](DefaultFlap),
-		Run:         runAs(func(p *FlapParams) Result { return RunFlap(*p) }),
+		Grid:        cellAs(runFlapCell),
 	})
 }
 
@@ -106,14 +106,9 @@ type FlapResult struct {
 }
 
 // RunFlap runs the flap scenario.
-func RunFlap(pr FlapParams) *FlapResult {
-	out := runCellsCtx(1, func(c *Cell, _ int) *FlapResult {
-		return runFlapCell(c, pr)
-	})
-	return out[0]
-}
+func RunFlap(pr FlapParams) *FlapResult { return runOne(&pr, runFlapCell) }
 
-func runFlapCell(c *Cell, pr FlapParams) *FlapResult {
+func runFlapCell(c *Cell, pr *FlapParams) *FlapResult {
 	sched := c.begin()
 	rng := sched.NewRand(pr.Seed)
 	bw := pr.LinkMbps * 1e6
@@ -152,7 +147,7 @@ func runFlapCell(c *Cell, pr FlapParams) *FlapResult {
 	res := b.Run(pr.Duration)
 
 	out := &FlapResult{
-		Params:    pr,
+		Params:    *pr,
 		BinWidth:  pr.BinWidth,
 		FlapEnd:   pr.FlapStart + float64(pr.Flaps-1)*pr.Period + pr.DownFor,
 		TFRCTotal: sumSeries(res.TFRCSeries, res.Bins),

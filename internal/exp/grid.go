@@ -20,16 +20,18 @@ func (r CellRange) Len() int { return r.Hi - r.Lo }
 // String renders the range in half-open interval notation.
 func (r CellRange) String() string { return fmt.Sprintf("[%d,%d)", r.Lo, r.Hi) }
 
-// Grid is a grid experiment's pure-cell contract, the seam the
-// distributed sweep coordinator (internal/shard, tfrcsim shard/merge)
-// runs on. An experiment with a Grid promises that
+// Grid is an experiment's pure-cell contract: the one way an
+// experiment runs. RunExperiment computes
 //
-//	Run(p) == Reduce(p, RunRange(p, [0, Cells(p))))
+//	Reduce(p, RunRange(p, [0, Cells(p))))
 //
-// and that every cell is a pure function of (params, index): computing
-// any sub-range on any machine, in any order, at any worker count,
-// yields the same per-cell payloads, and Reduce over the reassembled
-// full set reproduces the single-machine Result byte-for-byte.
+// and the distributed sweep coordinator (internal/shard, tfrcsim
+// shard/merge) computes the same from slices of the range. Every cell
+// is a pure function of (params, index): computing any sub-range on any
+// machine, in any order, at any worker count, yields the same per-cell
+// payloads, and Reduce over the reassembled full set reproduces the
+// single-machine Result byte-for-byte. An experiment that is one
+// simulation is a 1-cell grid.
 //
 // Cell payloads are compact JSON (one object per cell) so they can ride
 // in checkpoint files and partial-result envelopes; payload values must
@@ -49,10 +51,10 @@ type Grid struct {
 }
 
 // GridAs adapts an experiment's typed cell functions to the registry's
-// JSON-framed Grid contract, mirroring runAs: foreign parameter types
-// are rejected with an error instead of a panic, and per-cell values
-// are marshaled/unmarshaled at the boundary so the typed functions stay
-// JSON-free on the direct Run path.
+// JSON-framed Grid contract: foreign parameter types are rejected with
+// an error instead of a panic, and per-cell values are
+// marshaled/unmarshaled at the boundary so the typed functions stay
+// JSON-free.
 func GridAs[P Params, C any, R Result](
 	cells func(P) int,
 	runRange func(P, CellRange) []C,
@@ -112,4 +114,23 @@ func GridAs[P Params, C any, R Result](
 			return reduce(tp, typed), nil
 		},
 	}
+}
+
+// cellAs adapts a 1-cell experiment to the registry's Grid: run is the
+// whole simulation on a worker-pinned Cell, and its Result is the one
+// cell's payload.
+func cellAs[P Params, R Result](run func(*Cell, P) R) *Grid {
+	return GridAs(func(P) int { return 1 }, oneCell(run), func(_ P, cells []R) R { return cells[0] })
+}
+
+// oneCell is the range runner of a 1-cell grid.
+func oneCell[P, R any](run func(*Cell, P) R) func(P, CellRange) []R {
+	return func(p P, r CellRange) []R {
+		return runCells(r.Len(), func(c *Cell, _ int) R { return run(c, p) })
+	}
+}
+
+// runOne runs a 1-cell experiment whole, as its grid does.
+func runOne[P, R any](p P, run func(*Cell, P) R) R {
+	return oneCell(run)(p, CellRange{0, 1})[0]
 }

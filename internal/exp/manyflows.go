@@ -110,7 +110,7 @@ func init() {
 		Description: "throughput-fairness and loss distributions vs flow count (1k-1M)",
 		Params:      paramsFn[ManyFlowsParams](DefaultManyFlows),
 		Presets:     map[string]func() Params{"million": paramsFn[ManyFlowsParams](MillionFlows)},
-		Run:         runAs(func(p *ManyFlowsParams) Result { return RunManyFlows(*p) }),
+		Grid:        GridAs(manyFlowsCells, manyFlowsRunRange, manyFlowsReduce),
 	})
 }
 
@@ -243,14 +243,31 @@ func RunManyFlowsDecade(n int, pr ManyFlowsParams) ManyFlowsDecade {
 	return cell
 }
 
-// RunManyFlows climbs the ladder sequentially — decades share nothing,
-// and running them one at a time keeps peak memory to the largest rung.
-func RunManyFlows(pr ManyFlowsParams) *ManyFlowsResult {
-	res := &ManyFlowsResult{Params: pr}
-	for _, n := range pr.Flows {
-		res.Cells = append(res.Cells, RunManyFlowsDecade(n, pr))
+// manyFlowsCells is one cell per decade.
+func manyFlowsCells(pr *ManyFlowsParams) int { return len(pr.Flows) }
+
+// manyFlowsRunRange climbs decades [r.Lo, r.Hi) sequentially, not on
+// the worker pool: decades share nothing, and running them one at a
+// time keeps peak memory to the largest rung.
+func manyFlowsRunRange(pr *ManyFlowsParams, r CellRange) []ManyFlowsDecade {
+	out := make([]ManyFlowsDecade, r.Len())
+	for i, n := range pr.Flows[r.Lo:r.Hi] {
+		if Interrupted() {
+			break // skipped decades stay zero, as on the worker pool
+		}
+		out[i] = RunManyFlowsDecade(n, *pr)
 	}
-	return res
+	return out
+}
+
+// manyFlowsReduce wraps the ladder.
+func manyFlowsReduce(pr *ManyFlowsParams, cells []ManyFlowsDecade) *ManyFlowsResult {
+	return &ManyFlowsResult{Params: *pr, Cells: cells}
+}
+
+// RunManyFlows climbs the whole ladder.
+func RunManyFlows(pr ManyFlowsParams) *ManyFlowsResult {
+	return manyFlowsReduce(&pr, manyFlowsRunRange(&pr, CellRange{0, manyFlowsCells(&pr)}))
 }
 
 // Table implements Result.

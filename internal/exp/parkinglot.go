@@ -89,7 +89,6 @@ func init() {
 		Description: "through TFRC vs TCP across 1-3 bottlenecks",
 		Params:      paramsFn[ParkingLotParams](DefaultParkingLot),
 		Presets:     map[string]func() Params{"paper": paramsFn[ParkingLotParams](PaperParkingLot)},
-		Run:         runAs(func(p *ParkingLotParams) Result { return RunParkingLot(*p) }),
 		Grid:        GridAs(parkingLotCells, parkingLotRunRange, parkingLotReduce),
 	})
 }
@@ -209,7 +208,7 @@ func parkingLotCells(pr *ParkingLotParams) int {
 // coordinates derive from its absolute index.
 func parkingLotRunRange(pr *ParkingLotParams, r CellRange) []ParkingLotCell {
 	seeds := parkingLotSeeds(pr)
-	return runCellsCtx(r.Len(), func(c *Cell, i int) ParkingLotCell {
+	return runCells(r.Len(), func(c *Cell, i int) ParkingLotCell {
 		idx := r.Lo + i
 		k, rep := pr.Bottlenecks[idx/seeds], idx%seeds
 		return runParkingLotCell(c, *pr, k, pr.Seed+int64(rep)*6151)

@@ -39,7 +39,9 @@ type SeedsSetter interface {
 
 // Descriptor registers one experiment: the paper's figures and the
 // beyond-the-paper scenarios all self-register one of these, and user
-// code can register its own.
+// code can register its own. Every experiment runs through its Grid, so
+// every experiment can be sharded, merged and resumed; a trace or a
+// transient that is one simulation is a 1-cell grid.
 type Descriptor struct {
 	// Name is the canonical registry key ("fig6", "parkinglot").
 	Name string
@@ -54,13 +56,10 @@ type Descriptor struct {
 	// Presets are named alternate parameter sets; "paper" selects the
 	// paper's full-scale setup where one exists.
 	Presets map[string]func() Params
-	// Run executes the experiment. Callers should go through
-	// RunExperiment, which validates first.
-	Run func(Params) (Result, error)
-	// Grid, when non-nil, exposes the experiment's pure-cell structure
-	// for distributed execution (cell count, range execution, reduce);
-	// the shard/merge coordinator runs on this contract. Trace and
-	// transient experiments leave it nil and can only run whole.
+	// Grid is the experiment's pure-cell structure (cell count, range
+	// execution, reduce): RunExperiment runs the whole range, and the
+	// shard/merge coordinator runs slices of it. Callers should go
+	// through RunExperiment, which validates first.
 	Grid *Grid
 }
 
@@ -96,8 +95,8 @@ var (
 // alias twice panics: the registry is program-wide configuration, and a
 // collision is a programming error.
 func Register(d Descriptor) {
-	if d.Name == "" || d.Params == nil || d.Run == nil {
-		panic("exp: Register needs Name, Params, and Run")
+	if d.Name == "" || d.Params == nil || d.Grid == nil {
+		panic("exp: Register needs Name, Params, and Grid")
 	}
 	keys := append([]string{d.Name}, d.Aliases...)
 	for _, k := range keys {
@@ -199,13 +198,15 @@ func editDistance(a, b string) int {
 // is a partial one: skipped cells hold zero values.
 var ErrInterrupted = errors.New("interrupted")
 
-// RunExperiment validates the parameters and executes the experiment.
-// This is the one entry point the CLI and the public experiment package
-// use, so no experiment can run on unvalidated parameters. The
-// process-global run configuration (SetParallelism, SetContext) is
-// snapshotted at entry, so mid-run mutation configures the next run
-// rather than splitting this one across two settings. When the
-// installed run context is cancelled mid-run, the error wraps
+// RunExperiment validates the parameters and executes the experiment:
+// Grid.Reduce over Grid.RunRange of every cell, the same JSON-framed
+// path a merge of shard envelopes takes, so a run and a merge agree
+// byte for byte. This is the one entry point the CLI and the public
+// experiment package use, so no experiment can run on unvalidated
+// parameters. The process-global run configuration (SetParallelism,
+// SetContext) is snapshotted at entry, so mid-run mutation configures
+// the next run rather than splitting this one across two settings. When
+// the installed run context is cancelled mid-run, the error wraps
 // ErrInterrupted and the result carries whatever the experiment could
 // assemble from the cells that finished; a panic while interrupted
 // (aggregation tripping over zero-valued skipped cells) is converted to
@@ -227,24 +228,24 @@ func RunExperiment(d Descriptor, p Params) (res Result, err error) {
 			panic(r)
 		}
 	}()
-	res, err = d.Run(p)
+	res, err = runGrid(d.Grid, p)
 	if err == nil && Interrupted() {
 		err = fmt.Errorf("%s: %w", d.Name, ErrInterrupted)
 	}
 	return res, err
 }
 
-// runAs adapts a typed run function to the registry's Run signature,
-// rejecting foreign parameter types with an error instead of a panic.
-func runAs[P Params](run func(P) Result) func(Params) (Result, error) {
-	return func(p Params) (Result, error) {
-		tp, ok := p.(P)
-		if !ok {
-			var want P
-			return nil, fmt.Errorf("wrong parameter type %T (want %T)", p, want)
-		}
-		return run(tp), nil
+// runGrid reduces the grid's full cell range.
+func runGrid(g *Grid, p Params) (Result, error) {
+	n, err := g.Cells(p)
+	if err != nil {
+		return nil, err
 	}
+	cells, err := g.RunRange(p, CellRange{0, n})
+	if err != nil {
+		return nil, err
+	}
+	return g.Reduce(p, cells)
 }
 
 // paramsFn adapts a by-value default-params constructor to the

@@ -60,8 +60,8 @@ type runSnap struct {
 var activeSnap atomic.Pointer[runSnap]
 
 // beginRun installs a snapshot of the current configuration and returns
-// the previous snapshot for endRun to restore (experiments can nest:
-// fig21's cells call RunFig19).
+// the previous snapshot for endRun to restore (runs can nest: a user
+// experiment's cells may call RunExperiment).
 func beginRun() *runSnap {
 	s := &runSnap{workers: int(parallelism.Load()), ctx: runCtx.Load()}
 	return activeSnap.Swap(s)
@@ -70,8 +70,8 @@ func beginRun() *runSnap {
 // endRun restores the snapshot that beginRun displaced.
 func endRun(prev *runSnap) { activeSnap.Store(prev) }
 
-// parallelism is the worker count used by every grid-shaped figure
-// experiment (atomic so figure runs may be launched from any goroutine).
+// parallelism is the worker count every experiment's cell runner uses
+// (atomic so runs may be launched from any goroutine).
 // The default of 1 keeps library callers fully sequential; cmd/tfrcsim
 // raises it via SetParallelism from its -parallel flag.
 var parallelism atomic.Int64
@@ -105,20 +105,6 @@ func Parallelism() int {
 	return int(parallelism.Load())
 }
 
-// runCells executes n independent experiment cells on the configured
-// worker pool, returning results in cell order. Cells reached after the
-// installed run context is cancelled are skipped and yield zero values,
-// so an interrupted sweep still returns a well-formed partial slice.
-func runCells[T any](n int, fn func(i int) T) []T {
-	return sweep.Map(Parallelism(), n, func(i int) T {
-		if Interrupted() {
-			var zero T
-			return zero
-		}
-		return fn(i)
-	})
-}
-
 // Cell is a worker-pinned simulation arena: a pinned scheduler plus the
 // package arenas riding on it (network, topology, monitors, TCP/TFRC/
 // traffic agents, scenario builders). A sweep worker passes the same
@@ -136,9 +122,8 @@ func newCell() *Cell {
 	return &Cell{sched: s}
 }
 
-// cellPool recycles Cells across sweeps and across the standalone
-// entry points (RunScenario et al.), so even non-sweep callers reuse a
-// warm arena.
+// cellPool recycles Cells across sweeps and across RunScenario calls,
+// so even non-sweep callers reuse a warm arena.
 var cellPool = sync.Pool{New: func() any { return newCell() }}
 
 func getCell() *Cell { return cellPool.Get().(*Cell) }
@@ -168,12 +153,14 @@ func (c *Cell) floats(n int) []float64 {
 	return c.scratch[:n]
 }
 
-// runCellsCtx executes n independent experiment cells on the configured
-// worker pool with worker-pinned Cells, returning results in cell order.
-// The grid-shaped figure experiments run on this variant: it preserves
-// runCells' exactly-once, deterministic-order contract while letting
-// consecutive cells on one worker share an arena.
-func runCellsCtx[T any](n int, fn func(c *Cell, i int) T) []T {
+// runCells executes n independent experiment cells on the configured
+// worker pool with worker-pinned Cells, returning results in cell order:
+// every cell runs exactly once, consecutive cells on one worker share an
+// arena, and results are identical at any worker count. Cells reached
+// after the installed run context is cancelled are skipped and yield
+// zero values, so an interrupted sweep still returns a well-formed
+// partial slice.
+func runCells[T any](n int, fn func(c *Cell, i int) T) []T {
 	return sweep.MapCtx(Parallelism(), n, getCell, putCell, func(c *Cell, i int) T {
 		if Interrupted() {
 			var zero T

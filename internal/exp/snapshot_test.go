@@ -26,22 +26,38 @@ type snapResult struct {
 
 func (r *snapResult) Table(io.Writer) {}
 
+// snapCell is what one probe observed.
+type snapCell struct {
+	Workers     int
+	Interrupted bool
+}
+
 // snapDescriptor runs an experiment whose cells report the Parallelism
-// and Interrupted values they observe; probe gates each cell so the
-// test can mutate the globals mid-run.
+// and Interrupted values they observe, in probe order on the calling
+// goroutine; probe gates each cell so the test can mutate the globals
+// mid-run.
 func snapDescriptor(probe func(i int)) Descriptor {
 	return Descriptor{
 		Name:   "snapshot-test",
 		Params: paramsFn[snapParams](func() snapParams { return snapParams{Probes: 4} }),
-		Run: runAs(func(p *snapParams) Result {
-			res := &snapResult{}
-			for i := 0; i < p.Probes; i++ {
-				probe(i)
-				res.Workers = append(res.Workers, Parallelism())
-				res.Interrupted = append(res.Interrupted, Interrupted())
-			}
-			return res
-		}),
+		Grid: GridAs(
+			func(p *snapParams) int { return p.Probes },
+			func(_ *snapParams, r CellRange) []snapCell {
+				var out []snapCell
+				for i := r.Lo; i < r.Hi; i++ {
+					probe(i)
+					out = append(out, snapCell{Parallelism(), Interrupted()})
+				}
+				return out
+			},
+			func(_ *snapParams, cells []snapCell) *snapResult {
+				res := &snapResult{}
+				for _, c := range cells {
+					res.Workers = append(res.Workers, c.Workers)
+					res.Interrupted = append(res.Interrupted, c.Interrupted)
+				}
+				return res
+			}),
 	}
 }
 

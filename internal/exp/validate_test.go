@@ -45,9 +45,14 @@ func TestValidateCatchesBadParams(t *testing.T) {
 		{"fig9 zero runs", func() Params { p := DefaultFig09(); p.Runs = 0; return &p }(), "Runs"},
 		{"fig9 one flow each", func() Params { p := DefaultFig09(); p.FlowsEach = 1; return &p }(), "FlowsEach"},
 		{"fig11 no sources", func() Params { p := DefaultFig11(); p.Sources = nil; return &p }(), "Sources"},
+		{"fig11 timescale below the base bin", func() Params { p := DefaultFig11(); p.Timescales = []float64{0.01}; return &p }(), "whole multiples"},
+		{"fig11 timescale between base bins", func() Params { p := DefaultFig11(); p.Timescales = []float64{1, 0.25}; return &p }(), "whole multiples"},
+		{"fig9 timescale below the base bin", func() Params { p := DefaultFig09(); p.Timescales = []float64{0.05}; return &p }(), "whole multiples"},
 		{"fig14 zero queue", func() Params { p := DefaultFig14(); p.Queue = 0; return &p }(), "Queue"},
 		{"fig15 negative duration", &Fig15Params{Duration: -1}, "Duration"},
 		{"fig16 no timescales", &Fig16Params{Duration: 10}, "Timescales"},
+		{"fig16 timescale below the base bin", &Fig16Params{Timescales: []float64{0.01}, Duration: 10}, "whole multiples"},
+		{"fig16 negative timescale", &Fig16Params{Timescales: []float64{-1}, Duration: 10}, "whole multiples"},
 		{"fig18 empty history", &Fig18Params{Duration: 10}, "HistorySizes"},
 		{"fig19 switch past end", &Fig19Params{DropEveryBefore: 100, SwitchTime: 20, Duration: 10, RTT: 0.05}, "SwitchTime"},
 		{"fig21 bad drop rate", &Fig21Params{DropRates: []float64{1.5}, RTT: 0.05}, "drop rates"},

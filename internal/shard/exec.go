@@ -31,7 +31,7 @@ type Child struct {
 // ExecConfig configures the supervised local fan-out.
 type ExecConfig struct {
 	// Desc and Params identify the sweep; Params must be resolved and
-	// valid, and Desc must expose a Grid.
+	// valid.
 	Desc   exp.Descriptor
 	Params exp.Params
 	// Shards is the number of subprocesses the grid splits across.
@@ -105,9 +105,6 @@ func (cfg *ExecConfig) backoff(shard, attempt int) time.Duration {
 // returned error is reserved for configuration and I/O problems that
 // prevent producing any envelope at all.
 func Exec(cfg ExecConfig) (*Envelope, error) {
-	if cfg.Desc.Grid == nil {
-		return nil, fmt.Errorf("%s: %w", cfg.Desc.Name, ErrNoGrid)
-	}
 	if cfg.Command == nil {
 		return nil, fmt.Errorf("ExecConfig.Command is required")
 	}

@@ -173,14 +173,3 @@ func TestReduceRejectsTamperedEnvelope(t *testing.T) {
 		t.Fatal("a tampered envelope (params edited after writing) must be rejected")
 	}
 }
-
-func TestRunRejectsGridlessExperiment(t *testing.T) {
-	d, ok := exp.Lookup("fig19")
-	if !ok {
-		t.Skip("fig19 not registered")
-	}
-	_, err := Run(RunSpec{Desc: d, Params: d.Params(), Shard: ShardParams{Index: 0, Count: 2}})
-	if err == nil {
-		t.Fatal("sharding a trace experiment must fail")
-	}
-}

@@ -16,7 +16,7 @@ func isNotExist(err error) bool { return errors.Is(err, fs.ErrNotExist) }
 // RunSpec is one shard-run request: which experiment, the exact
 // resolved parameters, and the shard addressing.
 type RunSpec struct {
-	// Desc is the experiment; it must expose a Grid.
+	// Desc is the experiment.
 	Desc exp.Descriptor
 	// Params is the fully resolved, validated parameter set.
 	Params exp.Params
@@ -28,10 +28,6 @@ type RunSpec struct {
 	Range *exp.CellRange
 }
 
-// ErrNoGrid marks experiments that cannot be sharded (traces and
-// transients, which register no Grid).
-var ErrNoGrid = fmt.Errorf("experiment has no cell grid and can only run whole (use \"tfrcsim run\")")
-
 // Run computes the spec's cell range, checkpointing as configured, and
 // returns the shard's complete envelope. With Resume set, finished
 // cells are loaded from the checkpoint and only the missing tail is
@@ -39,9 +35,6 @@ var ErrNoGrid = fmt.Errorf("experiment has no cell grid and can only run whole (
 // returned envelope is byte-identical to an uninterrupted run's no
 // matter how many crash/resume cycles preceded it.
 func Run(spec RunSpec) (*Envelope, error) {
-	if spec.Desc.Grid == nil {
-		return nil, fmt.Errorf("%s: %w", spec.Desc.Name, ErrNoGrid)
-	}
 	if err := spec.Params.Validate(); err != nil {
 		return nil, fmt.Errorf("%s: invalid parameters: %w", spec.Desc.Name, err)
 	}

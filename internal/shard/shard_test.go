@@ -67,13 +67,6 @@ func init() {
 		Params: func() exp.Params {
 			return &shardtestParams{N: 6, Seed: 1}
 		},
-		Run: func(p exp.Params) (exp.Result, error) {
-			tp, ok := p.(*shardtestParams)
-			if !ok {
-				return nil, fmt.Errorf("wrong parameter type %T", p)
-			}
-			return shardtestReduce(tp, shardtestRunRange(tp, exp.CellRange{Lo: 0, Hi: tp.N})), nil
-		},
 		Grid: exp.GridAs(shardtestCells, shardtestRunRange, shardtestReduce),
 	})
 }

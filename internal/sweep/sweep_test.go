@@ -5,61 +5,41 @@ import (
 	"testing"
 )
 
-func TestMapPreservesOrder(t *testing.T) {
-	for _, workers := range []int{1, 2, 4, 64} {
-		got := Map(workers, 100, func(i int) int { return i * i })
-		if len(got) != 100 {
-			t.Fatalf("workers=%d: %d results, want 100", workers, len(got))
-		}
-		for i, v := range got {
-			if v != i*i {
-				t.Fatalf("workers=%d: cell %d = %d, want %d", workers, i, v, i*i)
-			}
-		}
-	}
-}
-
-func TestMapRunsEveryCellExactlyOnce(t *testing.T) {
-	const n = 1000
-	var counts [n]atomic.Int32
-	Map(8, n, func(i int) struct{} {
-		counts[i].Add(1)
-		return struct{}{}
-	})
-	for i := range counts {
-		if c := counts[i].Load(); c != 1 {
-			t.Fatalf("cell %d ran %d times", i, c)
-		}
-	}
-}
-
-func TestMapEmptyAndSingle(t *testing.T) {
-	if got := Map(4, 0, func(i int) int { return i }); got != nil {
-		t.Fatalf("n=0 returned %v, want nil", got)
-	}
-	if got := Map(4, 1, func(i int) int { return 7 }); len(got) != 1 || got[0] != 7 {
-		t.Fatalf("n=1 returned %v", got)
-	}
-}
-
-func TestMapSequentialFallback(t *testing.T) {
-	// workers ≤ 1 must run inline: cells may then share state freely.
-	shared := 0
-	Map(1, 50, func(i int) int { shared++; return shared })
-	if shared != 50 {
-		t.Fatalf("inline run touched shared state %d times, want 50", shared)
-	}
-	Map(0, 50, func(i int) int { shared++; return shared })
-	if shared != 100 {
-		t.Fatalf("workers=0 not inline: %d", shared)
-	}
-}
-
 // testCtx is a minimal worker context: it counts the cells it has run so
 // tests can observe reuse, and carries a poison marker for panic tests.
 type testCtx struct {
 	cells    int
 	poisoned bool
+}
+
+func newTestCtx() *testCtx { return &testCtx{} }
+
+func TestMapCtxEmptyAndSingle(t *testing.T) {
+	if got := MapCtx(4, 0, newTestCtx, nil, func(_ *testCtx, i int) int { return i }); got != nil {
+		t.Fatalf("n=0 returned %v, want nil", got)
+	}
+	if got := MapCtx(4, 1, newTestCtx, nil, func(*testCtx, int) int { return 7 }); len(got) != 1 || got[0] != 7 {
+		t.Fatalf("n=1 returned %v", got)
+	}
+}
+
+func TestMapCtxSequentialFallback(t *testing.T) {
+	// workers ≤ 1 must run inline on one context: cells may then share
+	// state freely.
+	shared := 0
+	var acquired int
+	acquire := func() *testCtx { acquired++; return &testCtx{} }
+	MapCtx(1, 50, acquire, nil, func(_ *testCtx, i int) int { shared++; return shared })
+	if shared != 50 {
+		t.Fatalf("inline run touched shared state %d times, want 50", shared)
+	}
+	MapCtx(0, 50, acquire, nil, func(_ *testCtx, i int) int { shared++; return shared })
+	if shared != 100 {
+		t.Fatalf("workers=0 not inline: %d", shared)
+	}
+	if acquired != 2 {
+		t.Fatalf("%d contexts acquired over two inline runs, want 2", acquired)
+	}
 }
 
 func TestMapCtxPreservesOrderAndReusesContexts(t *testing.T) {
@@ -168,19 +148,9 @@ func TestMapCtxBrokenCellPropagatesPanic(t *testing.T) {
 	t.Fatal("MapCtx returned instead of panicking")
 }
 
-// BenchmarkMapOverhead measures the per-cell scheduling cost of the
-// shared-pool runner on trivial cells — the floor the experiment grids
+// BenchmarkMapCtxOverhead measures the per-cell scheduling cost of the
+// worker-pinned runner on trivial cells — the floor the experiment grids
 // pay on top of their simulations.
-func BenchmarkMapOverhead(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		Map(8, 1024, func(i int) int { return i })
-	}
-	b.ReportMetric(float64(b.N)*1024/b.Elapsed().Seconds(), "cells/sec")
-}
-
-// BenchmarkMapCtxOverhead measures the worker-pinned runner on the same
-// trivial cells: the context plumbing must not cost more than the atomic
-// work-stealing it rides on.
 func BenchmarkMapCtxOverhead(b *testing.B) {
 	acquire := func() *testCtx { return &testCtx{} }
 	for i := 0; i < b.N; i++ {
