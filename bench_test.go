@@ -1,9 +1,10 @@
 package tfrc_test
 
 // One benchmark per figure of the paper's evaluation, plus ablation
-// benches for the design decisions DESIGN.md calls out. Each figure
-// bench runs a scaled-down instance of the corresponding experiment and
-// reports the figure's headline metric via b.ReportMetric, so
+// benches for the design decisions of the paper's §3. Each figure bench
+// runs a scaled-down instance of the corresponding registered
+// experiment, through the registry as cmd/tfrcsim does, and reports the
+// figure's headline metric via b.ReportMetric, so
 // `go test -bench . -benchmem` regenerates the whole evaluation at
 // laptop scale. cmd/tfrcsim runs the same experiments at paper scale.
 
@@ -20,9 +21,27 @@ import (
 	"tfrc/internal/tfrcsim"
 )
 
+// runExp runs the named experiment through exp.RunExperiment on
+// parameters p and returns its typed result.
+func runExp[R exp.Result, P any, PP interface {
+	*P
+	exp.Params
+}](b *testing.B, name string, p P) R {
+	b.Helper()
+	d, ok := exp.Lookup(name)
+	if !ok {
+		b.Fatalf("no experiment %q", name)
+	}
+	res, err := exp.RunExperiment(d, PP(&p))
+	if err != nil {
+		b.Fatal(err)
+	}
+	return res.(R)
+}
+
 func BenchmarkFig02LossIntervalDynamics(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := exp.RunFig02(exp.DefaultFig02())
+		r := runExp[*exp.Fig02Result](b, "fig2", exp.DefaultFig02())
 		if len(r.Points) == 0 {
 			b.Fatal("no samples")
 		}
@@ -43,7 +62,7 @@ func benchFig03(b *testing.B, pr exp.Fig03Params) {
 	pr.Duration, pr.Warmup = 60, 20
 	pr.BufferSizes = []int{8, 32}
 	for i := 0; i < b.N; i++ {
-		r := exp.RunFig03(pr)
+		r := runExp[*exp.Fig03Result](b, "fig3", pr)
 		var cov float64
 		for _, c := range r.Curves {
 			cov += c.CoV
@@ -55,7 +74,7 @@ func benchFig03(b *testing.B, pr exp.Fig03Params) {
 func BenchmarkFig05LossEventFraction(b *testing.B) {
 	pr := exp.DefaultFig05()
 	for i := 0; i < b.N; i++ {
-		r := exp.RunFig05(pr)
+		r := runExp[*exp.Fig05Result](b, "fig5", pr)
 		// Report the worst-case deviation of p_event below p_loss for
 		// the 1× flow (paper: at most ≈ 10% at moderate loss).
 		worst := 0.0
@@ -71,16 +90,22 @@ func BenchmarkFig05LossEventFraction(b *testing.B) {
 func BenchmarkFig06FairnessGrid(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		// One representative cell per queue type.
-		dt := exp.RunFig06Cell(netsim.QueueDropTail, 8, 8, 45, 30, 1)
-		red := exp.RunFig06Cell(netsim.QueueRED, 8, 8, 45, 30, 1)
-		b.ReportMetric(dt.NormTCP, "normTCP-droptail")
-		b.ReportMetric(red.NormTCP, "normTCP-red")
+		r := runExp[*exp.Fig06Result](b, "fig6", exp.Fig06Params{
+			LinkMbps:    []float64{8},
+			TotalFlows:  []int{8},
+			Queues:      []netsim.QueueKind{netsim.QueueDropTail, netsim.QueueRED},
+			Duration:    45,
+			MeasureTail: 30,
+			Seed:        1,
+		})
+		b.ReportMetric(r.Cells[0].NormTCP, "normTCP-droptail")
+		b.ReportMetric(r.Cells[1].NormTCP, "normTCP-red")
 	}
 }
 
 func BenchmarkFig07PerFlowDistribution(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		cells := exp.RunFig07(exp.Fig07Params{TotalFlows: []int{16}, Duration: 40, MeasureTail: 20, Seed: 1}).Cells
+		cells := runExp[*exp.Fig07Result](b, "fig7", exp.Fig07Params{TotalFlows: []int{16}, Duration: 40, MeasureTail: 20, Seed: 1}).Cells
 		b.ReportMetric(stats.StdDev(cells[0].PerFlowTCP), "tcp-spread")
 		b.ReportMetric(stats.StdDev(cells[0].PerFlowTFRC), "tfrc-spread")
 	}
@@ -88,7 +113,9 @@ func BenchmarkFig07PerFlowDistribution(b *testing.B) {
 
 func BenchmarkFig08ThroughputTraces(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := exp.RunFig08(exp.DefaultFig08(netsim.QueueRED))
+		pr := exp.DefaultFig08()
+		pr.Queues = []netsim.QueueKind{netsim.QueueRED}
+		r := runExp[*exp.Fig08GridResult](b, "fig8", pr).Results[0]
 		b.ReportMetric(r.CoVTCP, "cov-tcp")
 		b.ReportMetric(r.CoVTFRC, "cov-tfrc")
 	}
@@ -98,7 +125,7 @@ func BenchmarkFig09EquivalenceRatio(b *testing.B) {
 	pr := exp.DefaultFig09()
 	pr.Runs, pr.FlowsEach, pr.Duration, pr.Warmup = 2, 8, 40, 15
 	for i := 0; i < b.N; i++ {
-		r := exp.RunFig09(pr)
+		r := runExp[*exp.Fig09Result](b, "fig9", pr)
 		b.ReportMetric(r.TCPvTFRC[2].Mean, "eq-tcp-tfrc@1s")
 	}
 }
@@ -107,7 +134,7 @@ func BenchmarkFig10CoVTimescales(b *testing.B) {
 	pr := exp.DefaultFig09()
 	pr.Runs, pr.FlowsEach, pr.Duration, pr.Warmup = 2, 8, 40, 15
 	for i := 0; i < b.N; i++ {
-		r := exp.RunFig09(pr)
+		r := runExp[*exp.Fig09Result](b, "fig9", pr)
 		b.ReportMetric(r.CoVTCP[2].Mean, "cov-tcp@1s")
 		b.ReportMetric(r.CoVTFRC[2].Mean, "cov-tfrc@1s")
 	}
@@ -119,7 +146,7 @@ func BenchmarkFig11OnOffLossRate(b *testing.B) {
 		Timescales: []float64{1}, Runs: 1, Seed: 1,
 	}
 	for i := 0; i < b.N; i++ {
-		r := exp.RunFig11(pr)
+		r := runExp[*exp.Fig11Result](b, "fig11", pr)
 		b.ReportMetric(r.Rows[0].LossRate.Mean, "loss-rate")
 	}
 }
@@ -130,7 +157,7 @@ func BenchmarkFig12EquivalenceUnderLoad(b *testing.B) {
 		Timescales: []float64{10}, Runs: 1, Seed: 1,
 	}
 	for i := 0; i < b.N; i++ {
-		r := exp.RunFig11(pr)
+		r := runExp[*exp.Fig11Result](b, "fig11", pr)
 		b.ReportMetric(r.Rows[0].EqTCPvTFRC[0].Mean, "eq@10s")
 	}
 }
@@ -141,7 +168,7 @@ func BenchmarkFig13CoVUnderLoad(b *testing.B) {
 		Timescales: []float64{1}, Runs: 1, Seed: 1,
 	}
 	for i := 0; i < b.N; i++ {
-		r := exp.RunFig11(pr)
+		r := runExp[*exp.Fig11Result](b, "fig11", pr)
 		b.ReportMetric(r.Rows[0].CoVTFRC[0].Mean, "cov-tfrc")
 		b.ReportMetric(r.Rows[0].CoVTCP[0].Mean, "cov-tcp")
 	}
@@ -151,7 +178,7 @@ func BenchmarkFig14QueueDynamics(b *testing.B) {
 	pr := exp.DefaultFig14()
 	pr.Flows, pr.Duration = 20, 20
 	for i := 0; i < b.N; i++ {
-		r := exp.RunFig14(pr)
+		r := runExp[*exp.Fig14Result](b, "fig14", pr)
 		b.ReportMetric(r.TCP.DropRate, "drop-tcp")
 		b.ReportMetric(r.TFRC.DropRate, "drop-tfrc")
 	}
@@ -159,14 +186,14 @@ func BenchmarkFig14QueueDynamics(b *testing.B) {
 
 func BenchmarkFig15InternetTrace(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := exp.RunFig15(exp.Fig15Params{Duration: 60, Seed: 1})
+		r := runExp[*exp.Fig15Result](b, "fig15", exp.Fig15Params{Duration: 60, Seed: 1})
 		b.ReportMetric(r.MeanTFRC/r.MeanTCP, "tfrc/tcp")
 	}
 }
 
 func BenchmarkFig16PathEquivalence(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := exp.RunFig16(exp.Fig16Params{Timescales: []float64{1, 10}, Duration: 60, Seed: 1})
+		r := runExp[*exp.Fig16Result](b, "fig16", exp.Fig16Params{Timescales: []float64{1, 10}, Duration: 60, Seed: 1})
 		// Paper: Linux path equivalent, Solaris path poorer.
 		var linux, solaris float64
 		for _, row := range r.Rows {
@@ -184,7 +211,7 @@ func BenchmarkFig16PathEquivalence(b *testing.B) {
 
 func BenchmarkFig17PathCoV(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := exp.RunFig16(exp.Fig16Params{Timescales: []float64{1}, Duration: 60, Seed: 1})
+		r := runExp[*exp.Fig16Result](b, "fig16", exp.Fig16Params{Timescales: []float64{1}, Duration: 60, Seed: 1})
 		var tcpCov, tfrcCov float64
 		for _, row := range r.Rows {
 			if row.Path == "UMASS (Solaris)" {
@@ -200,7 +227,7 @@ func BenchmarkFig18LossPredictor(b *testing.B) {
 	pr := exp.DefaultFig18()
 	pr.Duration = 60
 	for i := 0; i < b.N; i++ {
-		r := exp.RunFig18(pr)
+		r := runExp[*exp.Fig18Result](b, "fig18", pr)
 		for _, p := range r.Points {
 			if p.HistorySize == 8 && !p.ConstantWeights {
 				b.ReportMetric(p.AvgError, "err-n8-decreasing")
@@ -211,21 +238,21 @@ func BenchmarkFig18LossPredictor(b *testing.B) {
 
 func BenchmarkFig19IncreaseRate(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := exp.RunFig19(exp.DefaultFig19())
+		r := runExp[*exp.Fig19Result](b, "fig19", exp.DefaultFig19())
 		b.ReportMetric(r.MaxIncreasePerRTT, "pkts-per-rtt")
 	}
 }
 
 func BenchmarkFig20PersistentCongestion(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := exp.RunFig19(exp.DefaultFig20())
+		r := runExp[*exp.Fig19Result](b, "fig20", exp.DefaultFig20())
 		b.ReportMetric(float64(r.HalvedAfterRTTs), "rtts-to-halve")
 	}
 }
 
 func BenchmarkFig21HalvingSweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := exp.RunFig21(exp.Fig21Params{DropRates: []float64{0.01, 0.1}, RTT: 0.05})
+		r := runExp[*exp.Fig21Result](b, "fig21", exp.Fig21Params{DropRates: []float64{0.01, 0.1}, RTT: 0.05})
 		var mean float64
 		for _, row := range r.Rows {
 			mean += float64(row.RTTs)
@@ -363,7 +390,7 @@ func BenchmarkAblationDecrease(b *testing.B) {
 			pr.BufferSizes = []int{16}
 			pr.Decrease = pol.p
 			for i := 0; i < b.N; i++ {
-				r := exp.RunFig03(pr)
+				r := runExp[*exp.Fig03Result](b, "fig3", pr)
 				b.ReportMetric(r.Curves[0].CoV, "rate-cov")
 			}
 		})
@@ -462,7 +489,7 @@ func BenchmarkSweepCellsPerSecond(b *testing.B) {
 	}
 	cells := len(pr.LinkMbps) * len(pr.TotalFlows) * len(pr.Queues) * pr.Seeds
 	for i := 0; i < b.N; i++ {
-		r := exp.RunFig06(pr)
+		r := runExp[*exp.Fig06Result](b, "fig6", pr)
 		if len(r.Cells) == 0 {
 			b.Fatal("empty grid")
 		}
@@ -481,9 +508,10 @@ func BenchmarkManyFlowsPacketsPerSecond(b *testing.B) {
 	pr := exp.DefaultManyFlows()
 	// Short window, as in the bench harness: throughput needs no settling.
 	pr.Duration, pr.Warmup = 5, 2
+	pr.Flows = []int{10_000}
 	var pkts float64
 	for i := 0; i < b.N; i++ {
-		cell := exp.RunManyFlowsDecade(10_000, pr)
+		cell := runExp[*exp.ManyFlowsResult](b, "manyflows", pr).Cells[0]
 		if cell.DeliveredPkts == 0 {
 			b.Fatal("dead simulation")
 		}

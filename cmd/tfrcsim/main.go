@@ -29,10 +29,9 @@
 // shards still produces a well-formed partial envelope (complete:
 // false, missing ranges enumerated) and exits with code 3.
 //
-// The historical flag spellings keep working: -fig 6 is run fig6,
-// -exp parkinglot is run parkinglot, -paper is -preset paper, and
-// -list is list. Experiment names resolve through registry aliases, so
-// run 10 and run fig10 both reach fig9 (which includes Figure 10).
+// run, list, shard and merge are the only commands. Experiment names
+// resolve through registry aliases, so run 10 and run fig10 both reach
+// fig9 (which includes Figure 10).
 //
 // Experiments execute their independent cells on a worker pool;
 // -parallel defaults to the number of CPUs and results are
@@ -49,7 +48,7 @@
 //
 //	tfrcsim run fig6 -cpuprofile cpu.out -memprofile mem.out  # pprof a run
 //	tfrcsim -bench -bench-name PR3             # write BENCH_PR3.json
-//	tfrcsim -bench -bench-compare bench/BENCH_3.json  # CI regression gate
+//	tfrcsim -bench -bench-compare bench/BENCH_7.json  # CI regression gate
 package main
 
 import (
@@ -74,9 +73,6 @@ func main() { os.Exit(run()) }
 // run holds the real main body and reports the process exit code, so
 // deferred profile writers always flush before the process exits.
 func run() int {
-	fig := flag.Int("fig", 0, "figure number to reproduce (2-21); same as: run fig<N>")
-	expName := flag.String("exp", "", "experiment name; same as: run <name>")
-	paper := flag.Bool("paper", false, "use the paper's full-scale parameters; same as -preset paper")
 	preset := flag.String("preset", "", "named parameter preset (\"default\", \"paper\")")
 	paramsFile := flag.String("params", "", "JSON parameter file overlaid on the preset's defaults")
 	format := flag.String("format", "table", "output format: table | json")
@@ -85,7 +81,6 @@ func run() int {
 		"worker count for sweep cells (1 = sequential; results are identical either way)")
 	seeds := flag.Int("seeds", 1,
 		"seeds per cell for experiments supporting multi-seed replication: >1 reports mean ± 90% CI")
-	list := flag.Bool("list", false, "list experiments and exit")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memprofile := flag.String("memprofile", "", "write an allocation profile of the run to this file")
 	runBench := flag.Bool("bench", false,
@@ -97,19 +92,19 @@ func run() int {
 	benchTolerance := flag.Float64("bench-tolerance", 0.15,
 		"allowed fractional regression for -bench-compare (0.15 = 15%)")
 
-	// Subcommand forms: "tfrcsim run <name> [flags]" and "tfrcsim list".
-	// A bare leading word is taken as an experiment name directly.
+	// Commands: "tfrcsim run <name> [flags]", "tfrcsim list", "tfrcsim
+	// shard ..." and "tfrcsim merge ..."; bare flags select -bench.
 	args := os.Args[1:]
-	runName := ""
+	name := ""
 	listCmd := false
 	if len(args) > 0 && !strings.HasPrefix(args[0], "-") {
 		switch args[0] {
 		case "run":
 			if len(args) < 2 || strings.HasPrefix(args[1], "-") {
 				fmt.Fprintln(os.Stderr, "tfrcsim: run needs an experiment name (try: tfrcsim list)")
-				return 2
+				return exitUsage
 			}
-			runName, args = args[1], args[2:]
+			name, args = args[1], args[2:]
 		case "list":
 			listCmd, args = true, args[1:]
 		case "shard":
@@ -117,7 +112,8 @@ func run() int {
 		case "merge":
 			return mergeCmd(args[1:])
 		default:
-			runName, args = args[0], args[1:]
+			fmt.Fprintf(os.Stderr, "tfrcsim: unknown command %q (want run, list, shard or merge)\n", args[0])
+			return exitUsage
 		}
 	}
 	flag.CommandLine.Parse(args)
@@ -192,55 +188,15 @@ func run() int {
 		return 0
 	}
 
-	if *list || listCmd {
+	if listCmd {
 		printList(os.Stdout)
-		return 0
-	}
-
-	// Exactly one way of naming the experiment: run <name>, -fig, or -exp.
-	name := runName
-	sources := 0
-	for _, set := range []bool{runName != "", *fig != 0, *expName != ""} {
-		if set {
-			sources++
-		}
-	}
-	if sources > 1 {
-		fmt.Fprintln(os.Stderr, "tfrcsim: pass only one of: run <name>, -fig, -exp")
-		return 2
-	}
-	if *fig != 0 {
-		name = fmt.Sprintf("fig%d", *fig)
-	}
-	if *expName != "" {
-		name = *expName
+		return exitOK
 	}
 	if name == "" {
-		fmt.Fprintln(os.Stderr, "tfrcsim: pass run <name> (try: tfrcsim list), -fig 2..21, or -exp <name>")
-		return 2
+		fmt.Fprintln(os.Stderr, "tfrcsim: pass run <name> (try: tfrcsim list)")
+		return exitUsage
 	}
-
-	// Resolve the preset. -paper is legacy shorthand for -preset paper,
-	// and — as the old per-figure switch did — silently means "default"
-	// for experiments that have no paper-scale setup (with a warning).
-	presetName := *preset
-	if *paper {
-		d, err := experiment.Get(name)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "tfrcsim: %v\n", err)
-			return exitUsage
-		}
-		if presetName != "" && presetName != "paper" {
-			fmt.Fprintln(os.Stderr, "tfrcsim: -paper conflicts with -preset")
-			return exitUsage
-		}
-		if _, ok := d.Presets["paper"]; !ok {
-			fmt.Fprintf(os.Stderr, "tfrcsim: %s has no paper-scale preset; using defaults\n", d.Name)
-		} else {
-			presetName = "paper"
-		}
-	}
-	d, p, code := resolveExperiment(flag.CommandLine, name, presetName, *paramsFile, seed, seeds)
+	d, p, code := resolveExperiment(flag.CommandLine, name, *preset, *paramsFile, seed, seeds)
 	if code != exitOK {
 		return code
 	}

@@ -3,7 +3,7 @@
 // every beyond-the-paper scenario registers a Descriptor here; callers
 // look experiments up by name, obtain a JSON-(de)serializable parameter
 // set (defaults or a named preset such as "paper"), and run them to a
-// Result that renders both the historical gnuplot-ready text table and
+// Result that renders both the gnuplot-ready text table and
 // stable-keyed JSON.
 //
 //	d, err := experiment.Get("fig6")

@@ -34,10 +34,10 @@ type (
 	// Fig07Params/Fig07Result: per-flow normalized throughput column.
 	Fig07Params = exp.Fig07Params
 	Fig07Result = exp.Fig07Result
-	// Fig08GridParams/Fig08GridResult: throughput traces per queue kind.
-	Fig08GridParams = exp.Fig08GridParams
-	Fig08GridResult = exp.Fig08GridResult
+	// Fig08Params/Fig08GridResult: throughput traces per queue kind;
+	// Fig08Result is one queue's traces.
 	Fig08Params     = exp.Fig08Params
+	Fig08GridResult = exp.Fig08GridResult
 	Fig08Result     = exp.Fig08Result
 	// Fig09Params/Fig09Result: equivalence ratio and CoV vs timescale.
 	Fig09Params = exp.Fig09Params

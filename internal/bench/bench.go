@@ -177,9 +177,9 @@ func benchSweep() SweepMetrics {
 		Seeds:       8,
 	}
 	m.Cells = len(grid.LinkMbps) * len(grid.TotalFlows) * len(grid.Queues) * grid.Seeds
-	exp.RunFig06(grid) // warm every worker's arena
+	runExp[*exp.Fig06Result]("fig6", &grid) // warm every worker's arena
 	start := time.Now()
-	exp.RunFig06(grid)
+	runExp[*exp.Fig06Result]("fig6", &grid)
 	m.CellsPerSec = float64(m.Cells) / time.Since(start).Seconds()
 	exp.SetParallelism(prev)
 	return m
@@ -219,11 +219,12 @@ func benchManyFlows(decades []int) []FlowDecadeMetrics {
 	pr.Duration, pr.Warmup = 5, 2
 	out := make([]FlowDecadeMetrics, 0, len(decades))
 	for _, n := range decades {
+		pr.Flows = []int{n}
 		runtime.GC()
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		start := time.Now()
-		cell := exp.RunManyFlowsDecade(n, pr)
+		cell := runExp[*exp.ManyFlowsResult]("manyflows", &pr).Cells[0]
 		wall := time.Since(start).Seconds()
 		runtime.ReadMemStats(&after)
 		out = append(out, FlowDecadeMetrics{
@@ -235,6 +236,20 @@ func benchManyFlows(decades []int) []FlowDecadeMetrics {
 		})
 	}
 	return out
+}
+
+// runExp runs a registered experiment the one way every caller does,
+// through the registry, and returns its typed result.
+func runExp[R exp.Result](name string, p exp.Params) R {
+	d, ok := exp.Lookup(name)
+	if !ok {
+		panic("bench: no experiment " + name)
+	}
+	res, err := exp.RunExperiment(d, p)
+	if err != nil {
+		panic(fmt.Sprintf("bench: %v", err))
+	}
+	return res.(R)
 }
 
 // Run executes the measurement suite and returns the report. name labels

@@ -99,10 +99,6 @@ type BlackoutResult struct {
 	Rates    []faults.RatePoint // allowed-rate trace
 }
 
-// RunBlackout runs the outage scenario and judges it with
-// faults.CheckGraceful.
-func RunBlackout(pr BlackoutParams) *BlackoutResult { return runOne(&pr, runBlackoutCell) }
-
 func runBlackoutCell(c *Cell, pr *BlackoutParams) *BlackoutResult {
 	sched := c.begin()
 	bw := pr.LinkMbps * 1e6
@@ -189,11 +185,8 @@ func runBlackoutCell(c *Cell, pr *BlackoutParams) *BlackoutResult {
 	return out
 }
 
-// Table implements Result.
-func (r *BlackoutResult) Table(w io.Writer) { r.Print(w) }
-
-// Print emits the verdict and the goodput/allowed-rate traces.
-func (r *BlackoutResult) Print(w io.Writer) {
+// Table emits the verdict and the goodput/allowed-rate traces.
+func (r *BlackoutResult) Table(w io.Writer) {
 	fmt.Fprintf(w, "# Feedback blackout: %.0f Mb/s bottleneck, outage [%.0f, %.0f) s of %.0f s\n",
 		r.Params.LinkMbps, r.Params.OutageStart, r.Params.OutageEnd, r.Params.Duration)
 	fmt.Fprintf(w, "# rtt %.1f ms, rto at outage %.0f ms, floor %.1f B/s, %d no-feedback cuts\n",

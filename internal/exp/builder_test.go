@@ -62,7 +62,7 @@ func TestScenarioBuilderArbitraryPairs(t *testing.T) {
 func TestParkingLotExperiment(t *testing.T) {
 	pr := DefaultParkingLot()
 	pr.Duration, pr.Warmup = 40, 15
-	r := RunParkingLot(pr)
+	r := runExp[*ParkingLotResult](t, "parkinglot", pr)
 	if len(r.Cells) != 3 {
 		t.Fatalf("got %d cells", len(r.Cells))
 	}
@@ -92,8 +92,8 @@ func TestParkingLotParallelByteIdentical(t *testing.T) {
 	pr.Bottlenecks = []int{1, 3}
 	pr.Seeds = 2
 	var seq, par bytes.Buffer
-	withParallelism(1, func() { RunParkingLot(pr).Print(&seq) })
-	withParallelism(8, func() { RunParkingLot(pr).Print(&par) })
+	withParallelism(1, func() { runExp[*ParkingLotResult](t, "parkinglot", pr).Table(&seq) })
+	withParallelism(8, func() { runExp[*ParkingLotResult](t, "parkinglot", pr).Table(&par) })
 	if !bytes.Equal(seq.Bytes(), par.Bytes()) {
 		t.Fatalf("parallel parking lot differs from sequential:\n--- sequential\n%s--- parallel\n%s",
 			seq.String(), par.String())
@@ -109,7 +109,7 @@ func TestParkingLotParallelByteIdentical(t *testing.T) {
 func TestBWStepExperiment(t *testing.T) {
 	pr := DefaultBWStep()
 	pr.StepAt, pr.RestoreAt, pr.Duration = 20, 40, 60
-	r := RunBWStep(pr)
+	r := runExp[*BWStepResult](t, "bwstep", pr)
 	if len(r.Phases) != 3 {
 		t.Fatalf("got %d phases", len(r.Phases))
 	}
@@ -149,7 +149,7 @@ func TestBWStepExperiment(t *testing.T) {
 func TestBWStepShortRun(t *testing.T) {
 	pr := DefaultBWStep()
 	pr.StepAt, pr.RestoreAt, pr.Duration = 10, 20, 22
-	r := RunBWStep(pr)
+	r := runExp[*BWStepResult](t, "bwstep", pr)
 	if len(r.Phases) != 3 {
 		t.Fatalf("got %d phases", len(r.Phases))
 	}
@@ -165,23 +165,24 @@ func TestBWStepParallelByteIdentical(t *testing.T) {
 	pr.StepAt, pr.RestoreAt, pr.Duration = 15, 30, 45
 	pr.Seeds = 2
 	var seq, par bytes.Buffer
-	withParallelism(1, func() { RunBWStep(pr).Print(&seq) })
-	withParallelism(8, func() { RunBWStep(pr).Print(&par) })
+	withParallelism(1, func() { runExp[*BWStepResult](t, "bwstep", pr).Table(&seq) })
+	withParallelism(8, func() { runExp[*BWStepResult](t, "bwstep", pr).Table(&par) })
 	if !bytes.Equal(seq.Bytes(), par.Bytes()) {
 		t.Fatalf("parallel bwstep differs from sequential:\n--- sequential\n%s--- parallel\n%s",
 			seq.String(), par.String())
 	}
 }
 
-// TestFig08FI14Fig15MultiSeed exercises the multi-seed CI mode the
+// TestFig08Fig14Fig15MultiSeed exercises the multi-seed CI mode the
 // sweep-runner adoption added to figures 8, 14, and 15.
 func TestFig08Fig14Fig15MultiSeed(t *testing.T) {
-	f8 := DefaultFig08(netsim.QueueRED)
+	f8 := DefaultFig08()
+	f8.Queues = []netsim.QueueKind{netsim.QueueRED}
 	f8.Duration, f8.TraceFrom, f8.Flows = 16, 8, 8
 	f8.Seeds = 3
 	var a, b *Fig08Result
-	withParallelism(4, func() { a = RunFig08(f8) })
-	withParallelism(1, func() { b = RunFig08(f8) })
+	withParallelism(4, func() { a = runExp[*Fig08GridResult](t, "fig8", f8).Results[0] })
+	withParallelism(1, func() { b = runExp[*Fig08GridResult](t, "fig8", f8).Results[0] })
 	if a.Seeds != 3 || a.CoVTCPCI <= 0 || a.CoVTFRCCI <= 0 {
 		t.Fatalf("fig08 multi-seed CIs not populated: %+v", a)
 	}
@@ -193,8 +194,8 @@ func TestFig08Fig14Fig15MultiSeed(t *testing.T) {
 	f14.Flows, f14.Duration, f14.Stagger = 8, 10, 5
 	f14.Seeds = 2
 	var c, d *Fig14Result
-	withParallelism(4, func() { c = RunFig14(f14) })
-	withParallelism(1, func() { d = RunFig14(f14) })
+	withParallelism(4, func() { c = runExp[*Fig14Result](t, "fig14", f14) })
+	withParallelism(1, func() { d = runExp[*Fig14Result](t, "fig14", f14) })
 	if c.TCP.Seeds != 2 || c.TFRC.Seeds != 2 {
 		t.Fatalf("fig14 sides not aggregated: %+v", c)
 	}
@@ -204,8 +205,8 @@ func TestFig08Fig14Fig15MultiSeed(t *testing.T) {
 
 	var e, f *Fig15Result
 	f15 := Fig15Params{Duration: 40, Seed: 1, Seeds: 2}
-	withParallelism(4, func() { e = RunFig15(f15) })
-	withParallelism(1, func() { f = RunFig15(f15) })
+	withParallelism(4, func() { e = runExp[*Fig15Result](t, "fig15", f15) })
+	withParallelism(1, func() { f = runExp[*Fig15Result](t, "fig15", f15) })
 	if e.Seeds != 2 || e.MeanTCPCI < 0 {
 		t.Fatalf("fig15 multi-seed not populated: %+v", e)
 	}
@@ -213,7 +214,7 @@ func TestFig08Fig14Fig15MultiSeed(t *testing.T) {
 		t.Fatalf("fig15 multi-seed depends on parallelism")
 	}
 	// Single-seed results are unchanged by the refactor: Seeds stays 0.
-	if g := RunFig15(Fig15Params{Duration: 40, Seed: 1}); g.Seeds != 0 {
+	if g := runExp[*Fig15Result](t, "fig15", Fig15Params{Duration: 40, Seed: 1}); g.Seeds != 0 {
 		t.Fatalf("fig15 single-seed gained Seeds=%d", g.Seeds)
 	}
 }

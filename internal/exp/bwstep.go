@@ -46,7 +46,7 @@ func DefaultBWStep() BWStepParams {
 	}
 }
 
-// PaperBWStep is the full-scale transient the CLI's -paper flag selects.
+// PaperBWStep is the full-scale transient of the "paper" preset.
 func PaperBWStep() BWStepParams {
 	p := DefaultBWStep()
 	p.NTCP, p.NTFRC = 8, 8
@@ -73,8 +73,8 @@ func (p *BWStepParams) Validate() error {
 	if p.BinWidth <= 0 {
 		return fmt.Errorf("BinWidth must be positive, got %v", p.BinWidth)
 	}
-	if p.Seeds < 0 {
-		return fmt.Errorf("Seeds must be non-negative, got %d", p.Seeds)
+	if err := checkReplicates("Seeds", p.Seeds, 0); err != nil {
+		return err
 	}
 	return nil
 }
@@ -259,17 +259,8 @@ func bwstepReduce(_ *BWStepParams, cells []*BWStepResult) *BWStepResult {
 	return out
 }
 
-// RunBWStep runs the transient, its seeds as independent cells on the
-// sweep runner; results are identical at any parallelism.
-func RunBWStep(pr BWStepParams) *BWStepResult {
-	return bwstepReduce(&pr, bwstepRunRange(&pr, CellRange{0, bwstepCells(&pr)}))
-}
-
-// Table implements Result.
-func (r *BWStepResult) Table(w io.Writer) { r.Print(w) }
-
-// Print emits the phase summary and the aggregate traces.
-func (r *BWStepResult) Print(w io.Writer) {
+// Table emits the phase summary and the aggregate traces.
+func (r *BWStepResult) Table(w io.Writer) {
 	fmt.Fprintf(w, "# Bandwidth step: %.0f Mb/s bottleneck × %.2f during [%.0f, %.0f) s, %d TCP + %d TFRC\n",
 		r.Params.LinkMbps, r.Params.Factor, r.Params.StepAt, r.Params.RestoreAt,
 		r.Params.NTCP, r.Params.NTFRC)

@@ -62,7 +62,7 @@ func DefaultCCFair() CCFairParams {
 	}
 }
 
-// PaperCCFair is the longer grid the CLI's -paper flag selects.
+// PaperCCFair is the longer grid of the "paper" preset.
 func PaperCCFair() CCFairParams {
 	p := DefaultCCFair()
 	p.Duration, p.Warmup = 240, 60
@@ -123,8 +123,8 @@ func (p *CCFairParams) Validate() error {
 	if p.Duration <= 0 || p.Warmup < 0 || p.Warmup >= p.Duration {
 		return fmt.Errorf("need 0 <= Warmup < Duration, got Warmup=%v Duration=%v", p.Warmup, p.Duration)
 	}
-	if p.Seeds < 0 {
-		return fmt.Errorf("Seeds must be non-negative, got %d", p.Seeds)
+	if err := checkReplicates("Seeds", p.Seeds, 0); err != nil {
+		return err
 	}
 	return nil
 }
@@ -376,18 +376,8 @@ func ccfairReduce(pr *CCFairParams, raw []CCFairCell) *CCFairResult {
 	return res
 }
 
-// RunCCFair runs the grid: every (RTT, bandwidth, seed) combination is
-// an independent cell on the sweep runner, merged in deterministic grid
-// order so output is bit-identical at any parallelism.
-func RunCCFair(pr CCFairParams) *CCFairResult {
-	return ccfairReduce(&pr, ccfairRunRange(&pr, CellRange{0, ccfairCells(&pr)}))
-}
-
-// Table implements Result.
-func (r *CCFairResult) Table(w io.Writer) { r.Print(w) }
-
-// Print emits one row per (RTT, bandwidth) point.
-func (r *CCFairResult) Print(w io.Writer) {
+// Table emits one row per (RTT, bandwidth) point.
+func (r *CCFairResult) Table(w io.Writer) {
 	p := &r.Params
 	fmt.Fprintf(w, "# ccfair: %d %s flow(s) vs %d %s flow(s) on a %s",
 		p.FlowsA, p.ProtoA, p.FlowsB, p.ProtoB, p.Topology)

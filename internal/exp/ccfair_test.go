@@ -31,7 +31,7 @@ func ccfairOneCell(protoA, protoB string, queue netsim.QueueKind) CCFairParams {
 func TestCCFairTFRCFriendly(t *testing.T) {
 	pr := ccfairOneCell("tfrc", "reno", netsim.QueueRED)
 	pr.FlowsA, pr.FlowsB = 2, 2
-	res := RunCCFair(pr)
+	res := runExp[*CCFairResult](t, "ccfair", pr)
 	c := res.Cells[0]
 	if c.RatioAB < 0.75 || c.RatioAB > 1.33 {
 		t.Fatalf("TFRC:Reno throughput ratio %v outside [0.75, 1.33]: %+v", c.RatioAB, c)
@@ -44,7 +44,7 @@ func TestCCFairTFRCFriendly(t *testing.T) {
 // TestCCFairRelentlessUnfair: a controller that repairs losses for one
 // packet each instead of halving beats Reno at the same bottleneck.
 func TestCCFairRelentlessUnfair(t *testing.T) {
-	res := RunCCFair(ccfairOneCell("relentless", "reno", netsim.QueueRED))
+	res := runExp[*CCFairResult](t, "ccfair", ccfairOneCell("relentless", "reno", netsim.QueueRED))
 	c := res.Cells[0]
 	if c.RatioAB < 1.2 {
 		t.Fatalf("Relentless:Reno ratio %v, want the documented unfairness (> 1.2): %+v", c.RatioAB, c)
@@ -58,7 +58,7 @@ func TestCCFairRelentlessUnfair(t *testing.T) {
 // DropTail bottleneck, the scavenger all but vanishes — the queueing
 // delay sits over its target long before loss appears.
 func TestCCFairLEDBATYields(t *testing.T) {
-	res := RunCCFair(ccfairOneCell("ledbat", "reno", netsim.QueueDropTail))
+	res := runExp[*CCFairResult](t, "ccfair", ccfairOneCell("ledbat", "reno", netsim.QueueDropTail))
 	c := res.Cells[0]
 	if c.RatioAB > 0.2 {
 		t.Fatalf("LEDBAT:Reno ratio %v, want near-starvation (< 0.2): %+v", c.RatioAB, c)
@@ -72,7 +72,7 @@ func TestCCFairLEDBATYields(t *testing.T) {
 // control out of the mainstream Internet — Reno fills the buffer Vegas
 // is trying to keep empty.
 func TestCCFairVegasLosesToReno(t *testing.T) {
-	res := RunCCFair(ccfairOneCell("vegas", "reno", netsim.QueueDropTail))
+	res := runExp[*CCFairResult](t, "ccfair", ccfairOneCell("vegas", "reno", netsim.QueueDropTail))
 	c := res.Cells[0]
 	if c.ShareA > 0.3 {
 		t.Fatalf("Vegas share %v vs Reno, want < 0.3 (buffer-filling rival wins): %+v", c.ShareA, c)
@@ -85,7 +85,7 @@ func TestCCFairParkingLot(t *testing.T) {
 	pr := ccfairOneCell("tfrc", "reno", netsim.QueueRED)
 	pr.Topology = "parkinglot"
 	pr.Bottlenecks = 2
-	res := RunCCFair(pr)
+	res := runExp[*CCFairResult](t, "ccfair", pr)
 	c := res.Cells[0]
 	if c.Utilization < 0.5 {
 		t.Fatalf("parking-lot bottleneck utilization %v < 0.5: %+v", c.Utilization, c)
@@ -113,8 +113,8 @@ func TestCCFairParallelByteIdentical(t *testing.T) {
 		Seeds:    2,
 	}
 	var seq, par bytes.Buffer
-	withParallelism(1, func() { RunCCFair(pr).Print(&seq) })
-	withParallelism(8, func() { RunCCFair(pr).Print(&par) })
+	withParallelism(1, func() { runExp[*CCFairResult](t, "ccfair", pr).Table(&seq) })
+	withParallelism(8, func() { runExp[*CCFairResult](t, "ccfair", pr).Table(&par) })
 	if !bytes.Equal(seq.Bytes(), par.Bytes()) {
 		t.Fatalf("parallel ccfair output differs from sequential:\n--- sequential\n%s--- parallel\n%s",
 			seq.String(), par.String())
@@ -153,7 +153,7 @@ func TestCCFairShardMergeByteIdentical(t *testing.T) {
 	}
 
 	var single bytes.Buffer
-	RunCCFair(pr).Print(&single)
+	runExp[*CCFairResult](t, "ccfair", pr).Table(&single)
 
 	var merged []json.RawMessage
 	for _, r := range []CellRange{{0, 1}, {1, 3}, {3, 4}} {

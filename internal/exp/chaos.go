@@ -62,8 +62,8 @@ var episodeKinds = []faults.Kind{
 
 // Validate implements Params.
 func (p *ChaosParams) Validate() error {
-	if p.Cells < 1 {
-		return fmt.Errorf("Cells must be at least 1, got %d", p.Cells)
+	if err := checkReplicates("Cells", p.Cells, 1); err != nil {
+		return err
 	}
 	if p.NTCP < 0 || p.NTFRC < 1 {
 		return fmt.Errorf("need NTFRC >= 1 and NTCP >= 0, got NTCP=%d NTFRC=%d", p.NTCP, p.NTFRC)
@@ -229,11 +229,6 @@ func chaosReduce(pr *ChaosParams, cells []ChaosCell) *ChaosResult {
 	return out
 }
 
-// RunChaos runs the soak on the sweep runner.
-func RunChaos(pr ChaosParams) *ChaosResult {
-	return chaosReduce(&pr, chaosRunRange(&pr, CellRange{0, chaosCells(&pr)}))
-}
-
 func runChaosCell(c *Cell, pr ChaosParams, floor float64, seed int64) ChaosCell {
 	sched := c.begin()
 	rng := sched.NewRand(seed)
@@ -327,11 +322,8 @@ func runChaosCell(c *Cell, pr ChaosParams, floor float64, seed int64) ChaosCell 
 	return cell
 }
 
-// Table implements Result.
-func (r *ChaosResult) Table(w io.Writer) { r.Print(w) }
-
-// Print emits one row per cell plus the verdict.
-func (r *ChaosResult) Print(w io.Writer) {
+// Table emits one row per cell plus the verdict.
+func (r *ChaosResult) Table(w io.Writer) {
 	fmt.Fprintf(w, "# Chaos soak: %d cells × %d episodes, %.0f Mb/s bottleneck, %d TCP + %d TFRC, %.0f s\n",
 		r.Params.Cells, r.Params.Episodes, r.Params.LinkMbps,
 		r.Params.NTCP, r.Params.NTFRC, r.Params.Duration)

@@ -1,9 +1,11 @@
 // Package exp implements one experiment per figure of the paper's
-// evaluation (Figures 2-21). Each experiment is a pure function from a
-// parameter struct to a result struct, callable from tests, benchmarks,
-// and the tfrcsim CLI; Print methods emit gnuplot-ready rows matching the
-// series the paper plots. Scaled-down defaults keep test and benchmark
-// runtimes laptop-friendly; the CLI can run paper-scale parameters.
+// evaluation (Figures 2-21) plus the beyond-the-paper scenarios. Each
+// experiment registers a Descriptor whose Grid maps a parameter struct
+// to a result struct; RunExperiment is the one way to run it, from
+// tests, benchmarks and the tfrcsim CLI alike. Table methods emit
+// gnuplot-ready rows matching the series the paper plots. Scaled-down
+// defaults keep test and benchmark runtimes laptop-friendly; presets
+// select paper-scale parameters.
 package exp
 
 import (

@@ -51,7 +51,7 @@ func TestScenarioDeterminism(t *testing.T) {
 }
 
 func TestFig02Shape(t *testing.T) {
-	r := RunFig02(DefaultFig02())
+	r := runExp[*Fig02Result](t, "fig2", DefaultFig02())
 	if len(r.Points) < 100 {
 		t.Fatalf("only %d samples", len(r.Points))
 	}
@@ -100,7 +100,7 @@ func TestFig02Shape(t *testing.T) {
 func TestFig02StableBeforeChange(t *testing.T) {
 	// Before t=6 the loss is perfectly periodic: the ALI estimate must
 	// be rock-stable (paper: "a completely stable measure").
-	r := RunFig02(DefaultFig02())
+	r := runExp[*Fig02Result](t, "fig2", DefaultFig02())
 	var vals []float64
 	for _, p := range r.Points {
 		if p.Time >= 4 && p.Time < 6 {
@@ -121,7 +121,7 @@ func TestFig03OscillationDampedByFig04(t *testing.T) {
 	p3.BufferSizes = []int{8, 32}
 	p4 := p3
 	p4.SqrtSpacing = true
-	r3, r4 := RunFig03(p3), RunFig03(p4)
+	r3, r4 := runExp[*Fig03Result](t, "fig3", p3), runExp[*Fig03Result](t, "fig4", p4)
 	var c3, c4 float64
 	for i := range r3.Curves {
 		c3 += r3.Curves[i].CoV
@@ -133,7 +133,7 @@ func TestFig03OscillationDampedByFig04(t *testing.T) {
 }
 
 func TestFig05Shape(t *testing.T) {
-	r := RunFig05(DefaultFig05())
+	r := runExp[*Fig05Result](t, "fig5", DefaultFig05())
 	for _, row := range r.Rows {
 		// p_event never exceeds p_loss, and slower flows sit closer to
 		// the diagonal (ordering in the multiplier: 1x, 2x, 0.5x).
@@ -161,21 +161,21 @@ func TestFig05Shape(t *testing.T) {
 }
 
 func TestFig06CellFairness(t *testing.T) {
-	cell := RunFig06Cell(netsim.QueueDropTail, 4, 8, 60, 30, 1)
+	cell := fig06Cell(t, netsim.QueueDropTail, 4, 8, 60, 30, 1)
 	if cell.NormTCP < 0.3 || cell.NormTCP > 2.0 {
 		t.Fatalf("normalized TCP throughput %v outside [0.3, 2]", cell.NormTCP)
 	}
 	if cell.Utilization < 0.9 {
 		t.Fatalf("utilization %v < 0.9 (paper: > 90%%)", cell.Utilization)
 	}
-	red := RunFig06Cell(netsim.QueueRED, 4, 8, 60, 30, 1)
+	red := fig06Cell(t, netsim.QueueRED, 4, 8, 60, 30, 1)
 	if red.NormTCP < 0.3 || red.NormTCP > 2.0 {
 		t.Fatalf("RED normalized TCP throughput %v outside [0.3, 2]", red.NormTCP)
 	}
 }
 
 func TestFig07PerFlowSpread(t *testing.T) {
-	cells := RunFig07(Fig07Params{TotalFlows: []int{16}, Duration: 40, MeasureTail: 20, Seed: 1}).Cells
+	cells := runExp[*Fig07Result](t, "fig7", Fig07Params{TotalFlows: []int{16}, Duration: 40, MeasureTail: 20, Seed: 1}).Cells
 	c := cells[0]
 	if len(c.PerFlowTCP) != 8 || len(c.PerFlowTFRC) != 8 {
 		t.Fatalf("per-flow counts: %d/%d", len(c.PerFlowTCP), len(c.PerFlowTFRC))
@@ -187,11 +187,9 @@ func TestFig07PerFlowSpread(t *testing.T) {
 }
 
 func TestFig08TFRCSmootherBothQueues(t *testing.T) {
-	for _, q := range []netsim.QueueKind{netsim.QueueDropTail, netsim.QueueRED} {
-		pr := DefaultFig08(q)
-		r := RunFig08(pr)
+	for _, r := range runExp[*Fig08GridResult](t, "fig8", DefaultFig08()).Results {
 		if r.CoVTFRC >= r.CoVTCP {
-			t.Fatalf("%s: TFRC CoV %v not below TCP CoV %v", q, r.CoVTFRC, r.CoVTCP)
+			t.Fatalf("%s: TFRC CoV %v not below TCP CoV %v", r.Queue, r.CoVTFRC, r.CoVTCP)
 		}
 	}
 }
@@ -201,7 +199,7 @@ func TestFig09Shape(t *testing.T) {
 	pr.Runs = 2
 	pr.FlowsEach = 8
 	pr.Duration, pr.Warmup = 50, 20
-	r := RunFig09(pr)
+	r := runExp[*Fig09Result](t, "fig9", pr)
 	for i := range pr.Timescales {
 		for name, c := range map[string]MeanCI{
 			"TCPvTCP": r.TCPvTCP[i], "TFRCvTFRC": r.TFRCvTFRC[i], "TCPvTFRC": r.TCPvTFRC[i],
@@ -239,7 +237,7 @@ func TestFig11LossRisesWithSources(t *testing.T) {
 		Runs:       1,
 		Seed:       1,
 	}
-	r := RunFig11(pr)
+	r := runExp[*Fig11Result](t, "fig11", pr)
 	lo, hi := r.Rows[0].LossRate.Mean, r.Rows[1].LossRate.Mean
 	if hi <= lo {
 		t.Fatalf("loss did not rise with sources: %v → %v", lo, hi)
@@ -257,7 +255,7 @@ func TestFig11LossRisesWithSources(t *testing.T) {
 }
 
 func TestFig14QueueDynamics(t *testing.T) {
-	r := RunFig14(DefaultFig14())
+	r := runExp[*Fig14Result](t, "fig14", DefaultFig14())
 	for _, side := range []Fig14Side{r.TCP, r.TFRC} {
 		if side.Utilization < 0.85 {
 			t.Fatalf("%s utilization %v < 0.85 (paper: 99%%)", side.Protocol, side.Utilization)
@@ -274,7 +272,7 @@ func TestFig14QueueDynamics(t *testing.T) {
 }
 
 func TestFig15TFRCSmoothComparable(t *testing.T) {
-	r := RunFig15(Fig15Params{Duration: 90, Seed: 1})
+	r := runExp[*Fig15Result](t, "fig15", Fig15Params{Duration: 90, Seed: 1})
 	if r.MeanTFRC <= 0 || r.MeanTCP <= 0 {
 		t.Fatal("starved flow")
 	}
@@ -288,7 +286,7 @@ func TestFig15TFRCSmoothComparable(t *testing.T) {
 }
 
 func TestFig16SolarisAnomaly(t *testing.T) {
-	r := RunFig16(Fig16Params{Timescales: []float64{1, 5, 20}, Duration: 90, Seed: 1})
+	r := runExp[*Fig16Result](t, "fig16", Fig16Params{Timescales: []float64{1, 5, 20}, Duration: 90, Seed: 1})
 	byName := map[string]Fig16Row{}
 	for _, row := range r.Rows {
 		byName[row.Path] = row
@@ -310,7 +308,7 @@ func TestFig16SolarisAnomaly(t *testing.T) {
 func TestFig18PredictorShape(t *testing.T) {
 	pr := DefaultFig18()
 	pr.Duration = 80
-	r := RunFig18(pr)
+	r := runExp[*Fig18Result](t, "fig18", pr)
 	get := func(n int, constant bool) Fig18Point {
 		for _, p := range r.Points {
 			if p.HistorySize == n && p.ConstantWeights == constant {
@@ -336,7 +334,7 @@ func TestFig18PredictorShape(t *testing.T) {
 }
 
 func TestFig19IncreaseRate(t *testing.T) {
-	r := RunFig19(DefaultFig19())
+	r := runExp[*Fig19Result](t, "fig19", DefaultFig19())
 	if r.PreSwitchRate <= 0 {
 		t.Fatal("no pre-switch rate")
 	}
@@ -356,7 +354,7 @@ func TestFig19IncreaseRate(t *testing.T) {
 }
 
 func TestFig20HalvingTime(t *testing.T) {
-	r := RunFig19(DefaultFig20())
+	r := runExp[*Fig19Result](t, "fig20", DefaultFig20())
 	if r.HalvedAfterRTTs == 0 {
 		t.Fatal("rate never halved under persistent congestion")
 	}
@@ -372,7 +370,7 @@ func TestFig21Sweep(t *testing.T) {
 	// p ≤ 0.15; at p = 0.25 the full PFTK equation's timeout term pins
 	// the pre-switch rate below one packet/RTT, which slows the wall-
 	// clock response (documented deviation in EXPERIMENTS.md).
-	r := RunFig21(Fig21Params{DropRates: []float64{0.01, 0.05, 0.1, 0.15}, RTT: 0.05})
+	r := runExp[*Fig21Result](t, "fig21", Fig21Params{DropRates: []float64{0.01, 0.05, 0.1, 0.15}, RTT: 0.05})
 	for _, row := range r.Rows {
 		if row.RTTs == 0 {
 			t.Fatalf("p=%v never halved", row.DropRate)
@@ -386,9 +384,9 @@ func TestFig21Sweep(t *testing.T) {
 
 func TestPrintersProduceOutput(t *testing.T) {
 	var b strings.Builder
-	RunFig02(Fig02Params{P1: 0.01, P2: 0.05, P3: 0.005, T1: 2, T2: 3, Duration: 5, RTT: 0.05}).Print(&b)
-	RunFig05(Fig05Params{PLoss: []float64{0.01, 0.1}, Multiplier: []float64{1}, RTT: 0.1, PacketSize: 1000}).Print(&b)
-	RunFig19(Fig19Params{DropEveryBefore: 50, DropEveryAfter: 2, SwitchTime: 2, Duration: 4, RTT: 0.05}).Print(&b)
+	runExp[*Fig02Result](t, "fig2", Fig02Params{P1: 0.01, P2: 0.05, P3: 0.005, T1: 2, T2: 3, Duration: 5, RTT: 0.05}).Table(&b)
+	runExp[*Fig05Result](t, "fig5", Fig05Params{PLoss: []float64{0.01, 0.1}, Multiplier: []float64{1}, RTT: 0.1, PacketSize: 1000}).Table(&b)
+	runExp[*Fig19Result](t, "fig19", Fig19Params{DropEveryBefore: 50, DropEveryAfter: 2, SwitchTime: 2, Duration: 4, RTT: 0.05}).Table(&b)
 	if len(b.String()) < 200 {
 		t.Fatal("printers emitted almost nothing")
 	}

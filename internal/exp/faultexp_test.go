@@ -17,7 +17,7 @@ import (
 // climb back to ≥ RecoverFrac of the pre-fault goodput within the
 // RTT-plus-ramp budget.
 func TestBlackoutGracefulDegradation(t *testing.T) {
-	res := RunBlackout(DefaultBlackout())
+	res := runExp[*BlackoutResult](t, "blackout", DefaultBlackout())
 	rep := res.Report
 	if !rep.Live {
 		t.Errorf("sender went silent during the outage: %s", rep)
@@ -50,7 +50,7 @@ func TestBlackoutGracefulDegradation(t *testing.T) {
 // property: after four half-second outages the flows regain at least
 // 0.9× their pre-fault share of the bottleneck.
 func TestFlapRecovery(t *testing.T) {
-	res := RunFlap(DefaultFlap())
+	res := runExp[*FlapResult](t, "flap", DefaultFlap())
 	if len(res.Phases) != 3 {
 		t.Fatalf("got %d phases, want before/flapping/recovered", len(res.Phases))
 	}
@@ -70,7 +70,7 @@ func TestChaosSoakInvariants(t *testing.T) {
 	pr := DefaultChaos()
 	pr.Cells = 3
 	pr.Duration = 30
-	res := RunChaos(pr)
+	res := runExp[*ChaosResult](t, "chaos", pr)
 	if !res.OK {
 		t.Fatalf("chaos soak violations: %v", res.Violations)
 	}
@@ -98,8 +98,8 @@ func TestChaosByteIdenticalAcrossParallelism(t *testing.T) {
 	pr.Cells = 4
 	pr.Duration = 25
 	var seq, par bytes.Buffer
-	withParallelism(1, func() { RunChaos(pr).Print(&seq) })
-	withParallelism(8, func() { RunChaos(pr).Print(&par) })
+	withParallelism(1, func() { runExp[*ChaosResult](t, "chaos", pr).Table(&seq) })
+	withParallelism(8, func() { runExp[*ChaosResult](t, "chaos", pr).Table(&par) })
 	if !bytes.Equal(seq.Bytes(), par.Bytes()) {
 		t.Fatalf("parallel chaos output differs from sequential:\n--- sequential\n%s--- parallel\n%s",
 			seq.String(), par.String())

@@ -86,9 +86,6 @@ func (d *periodicDropper) Recv(p *netsim.Packet) {
 	d.next.Recv(p)
 }
 
-// RunFig02 runs the experiment.
-func RunFig02(pr Fig02Params) *Fig02Result { return runOne(&pr, runFig02) }
-
 // runFig02 is the experiment's one cell.
 func runFig02(c *Cell, pr *Fig02Params) *Fig02Result {
 	sched := c.begin()
@@ -141,11 +138,8 @@ func sqrt(x float64) float64 {
 	return math.Sqrt(x)
 }
 
-// Table implements Result.
-func (r *Fig02Result) Table(w io.Writer) { r.Print(w) }
-
-// Print emits "time s0 estInterval p sqrtP txRateKBps" rows.
-func (r *Fig02Result) Print(w io.Writer) {
+// Table emits "time s0 estInterval p sqrtP txRateKBps" rows.
+func (r *Fig02Result) Table(w io.Writer) {
 	fmt.Fprintln(w, "# Figure 2: Average Loss Interval dynamics under periodic loss")
 	fmt.Fprintln(w, "# time\ts0\testInterval\tlossRate\tsqrtLossRate\ttxRate(KB/s)")
 	for _, p := range r.Points {

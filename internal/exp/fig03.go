@@ -153,16 +153,8 @@ func fig03Reduce(pr *Fig03Params, curves []Fig03Curve) *Fig03Result {
 	return &Fig03Result{SqrtSpacing: pr.SqrtSpacing, BinWidth: pr.BinWidth, Curves: curves}
 }
 
-// RunFig03 runs the sweep, one independent simulation per buffer size.
-func RunFig03(pr Fig03Params) *Fig03Result {
-	return fig03Reduce(&pr, fig03RunRange(&pr, CellRange{0, fig03Cells(&pr)}))
-}
-
-// Table implements Result.
-func (r *Fig03Result) Table(w io.Writer) { r.Print(w) }
-
-// Print emits "buffer cov" summary rows and the traces.
-func (r *Fig03Result) Print(w io.Writer) {
+// Table emits "buffer cov" summary rows and the traces.
+func (r *Fig03Result) Table(w io.Writer) {
 	fig := "3 (no inter-packet spacing adjustment)"
 	if r.SqrtSpacing {
 		fig = "4 (with inter-packet spacing adjustment)"

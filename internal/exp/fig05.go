@@ -126,16 +126,8 @@ func fig05Reduce(pr *Fig05Params, rows []Fig05Row) *Fig05Result {
 	return &Fig05Result{Multiplier: pr.Multiplier, Rows: rows}
 }
 
-// RunFig05 evaluates the fixed point over the parameter grid.
-func RunFig05(pr Fig05Params) *Fig05Result {
-	return fig05Reduce(&pr, fig05RunRange(&pr, CellRange{0, fig05Cells(&pr)}))
-}
-
-// Table implements Result.
-func (r *Fig05Result) Table(w io.Writer) { r.Print(w) }
-
-// Print emits "pLoss pEvent(m1) pEvent(m2) ..." rows.
-func (r *Fig05Result) Print(w io.Writer) {
+// Table emits "pLoss pEvent(m1) pEvent(m2) ..." rows.
+func (r *Fig05Result) Table(w io.Writer) {
 	fmt.Fprintln(w, "# Figure 5: loss-event fraction vs Bernoulli loss probability")
 	fmt.Fprint(w, "# pLoss")
 	for _, m := range r.Multiplier {

@@ -71,8 +71,8 @@ func (p *Fig06Params) Validate() error {
 		return fmt.Errorf("need 0 < MeasureTail <= Duration, got MeasureTail=%v Duration=%v",
 			p.MeasureTail, p.Duration)
 	}
-	if p.Seeds < 0 {
-		return fmt.Errorf("Seeds must be non-negative, got %d", p.Seeds)
+	if err := checkReplicates("Seeds", p.Seeds, 0); err != nil {
+		return err
 	}
 	return nil
 }
@@ -127,14 +127,8 @@ type Fig06Cell struct {
 // Fig06Result is the full surface.
 type Fig06Result struct{ Cells []Fig06Cell }
 
-// RunFig06Cell runs one cell of the grid on a pooled worker cell.
-func RunFig06Cell(queue netsim.QueueKind, linkMbps float64, flows int, duration, tail float64, seed int64) Fig06Cell {
-	c := getCell()
-	defer putCell(c)
-	return runFig06Cell(c, queue, linkMbps, flows, duration, tail, seed)
-}
-
-// runFig06Cell is RunFig06Cell on an explicit worker cell.
+// runFig06Cell runs one (queue, link rate, flow count) point of the
+// grid at one seed on a worker cell.
 func runFig06Cell(c *Cell, queue netsim.QueueKind, linkMbps float64, flows int, duration, tail float64, seed int64) Fig06Cell {
 	n := flows / 2
 	sc := Scenario{
@@ -193,7 +187,7 @@ func fig06Seeds(pr *Fig06Params) int {
 
 // fig06Cells is the flattened cell count: grid-major, seed-minor.
 func fig06Cells(pr *Fig06Params) int {
-	return len(fig06Keys(pr)) * fig06Seeds(pr)
+	return len(pr.Queues) * len(pr.LinkMbps) * len(pr.TotalFlows) * fig06Seeds(pr)
 }
 
 // fig06RunRange computes cells [r.Lo, r.Hi) on the worker pool. Every
@@ -239,18 +233,8 @@ func fig06Reduce(pr *Fig06Params, raw []Fig06Cell) *Fig06Result {
 	return res
 }
 
-// RunFig06 runs the whole grid on the sweep runner: every (queue, link,
-// flows, seed) combination is an independent cell, executed across the
-// worker pool and merged back in deterministic grid order.
-func RunFig06(pr Fig06Params) *Fig06Result {
-	return fig06Reduce(&pr, fig06RunRange(&pr, CellRange{0, fig06Cells(&pr)}))
-}
-
-// Table implements Result.
-func (r *Fig06Result) Table(w io.Writer) { r.Print(w) }
-
-// Print emits the surface as rows; multi-seed runs gain CI columns.
-func (r *Fig06Result) Print(w io.Writer) {
+// Table emits the surface as rows; multi-seed runs gain CI columns.
+func (r *Fig06Result) Table(w io.Writer) {
 	multiSeed := false
 	for _, c := range r.Cells {
 		if c.Seeds > 1 {
@@ -272,21 +256,6 @@ func (r *Fig06Result) Print(w io.Writer) {
 	for _, c := range r.Cells {
 		fmt.Fprintf(w, "%s\t%.0f\t%d\t%.3f\t%.3f\t%.3f\t%.4f\n",
 			c.Queue, c.LinkMbps, c.Flows, c.NormTCP, c.NormTFRC, c.Utilization, c.DropRate)
-	}
-}
-
-// PrintFig07 emits the per-flow scatter for the 15 Mb/s RED column
-// (Figure 7): one row per flow.
-func PrintFig07(w io.Writer, cells []Fig06Cell) {
-	fmt.Fprintln(w, "# Figure 7: per-flow normalized throughput, RED")
-	fmt.Fprintln(w, "# flows\tprotocol\tnormThroughput")
-	for _, c := range cells {
-		for _, v := range c.PerFlowTCP {
-			fmt.Fprintf(w, "%d\tTCP\t%.3f\n", c.Flows, v)
-		}
-		for _, v := range c.PerFlowTFRC {
-			fmt.Fprintf(w, "%d\tTFRC\t%.3f\n", c.Flows, v)
-		}
 	}
 }
 
@@ -352,14 +321,17 @@ func (p *Fig07Params) SetSeed(seed int64) { p.Seed = seed }
 // Fig07Result wraps the per-flow scatter cells.
 type Fig07Result struct{ Cells []Fig06Cell }
 
-// RunFig07 runs the 15 Mb/s RED column across flow counts — the
-// paper's Figure 7 slice of the Figure 6 grid.
-func RunFig07(pr Fig07Params) *Fig07Result {
-	return fig07Reduce(&pr, fig07RunRange(&pr, CellRange{0, fig07Cells(&pr)}))
+// Table emits the per-flow scatter for the 15 Mb/s RED column
+// (Figure 7): one row per flow.
+func (r *Fig07Result) Table(w io.Writer) {
+	fmt.Fprintln(w, "# Figure 7: per-flow normalized throughput, RED")
+	fmt.Fprintln(w, "# flows\tprotocol\tnormThroughput")
+	for _, c := range r.Cells {
+		for _, v := range c.PerFlowTCP {
+			fmt.Fprintf(w, "%d\tTCP\t%.3f\n", c.Flows, v)
+		}
+		for _, v := range c.PerFlowTFRC {
+			fmt.Fprintf(w, "%d\tTFRC\t%.3f\n", c.Flows, v)
+		}
+	}
 }
-
-// Table implements Result.
-func (r *Fig07Result) Table(w io.Writer) { PrintFig07(w, r.Cells) }
-
-// Print emits the scatter rows.
-func (r *Fig07Result) Print(w io.Writer) { r.Table(w) }

@@ -11,45 +11,47 @@ import (
 
 // Fig08Params reproduces Figure 8: throughput traces of individual TCP
 // and TFRC flows sharing a 15 Mb/s bottleneck with 32 flows total,
-// averaged over 0.15 s bins, for DropTail and RED queueing. The paper's
-// RED parameters (footnote 1) are min 25, max 125, max_p 0.1, gentle.
+// averaged over 0.15 s bins, once per queue discipline. The paper's RED
+// parameters (footnote 1) are min 25, max 125, max_p 0.1, gentle.
 type Fig08Params struct {
-	Queue     netsim.QueueKind
-	Flows     int     // total; half TCP half TFRC (paper: 32)
-	LinkMbps  float64 // paper: 15
+	Queues    []netsim.QueueKind // paper: DropTail and RED
+	Flows     int                // total; half TCP half TFRC (paper: 32)
+	Seed      int64
 	Duration  float64 // paper: 30 s
 	TraceFrom float64 // paper: second half, 16 s
 	BinWidth  float64 // paper: 0.15 s
 	NTrace    int     // flows of each type to trace (paper: 4)
-	Seed      int64
 
-	// Seeds > 1 repeats the simulation at that many seeds on the sweep
-	// runner and reports the smoothness summaries as means with 90%
+	// Seeds > 1 repeats each queue's simulation at that many seeds on the
+	// sweep runner and reports the smoothness summaries as means with 90%
 	// confidence half-widths; traces stay the first seed's sample.
 	Seeds int
 }
 
-// DefaultFig08 matches the paper at reduced duration.
-func DefaultFig08(q netsim.QueueKind) Fig08Params {
+// fig08LinkMbps is the paper's bottleneck rate.
+const fig08LinkMbps = 15
+
+// DefaultFig08 traces both queue disciplines at the paper's setup, at
+// reduced duration.
+func DefaultFig08() Fig08Params {
 	return Fig08Params{
-		Queue:     q,
+		Queues:    []netsim.QueueKind{netsim.QueueDropTail, netsim.QueueRED},
 		Flows:     32,
-		LinkMbps:  15,
+		Seed:      1,
 		Duration:  30,
 		TraceFrom: 16,
 		BinWidth:  0.15,
 		NTrace:    4,
-		Seed:      1,
 	}
 }
 
 // Validate implements Params.
 func (p *Fig08Params) Validate() error {
+	if len(p.Queues) == 0 {
+		return fmt.Errorf("Queues must be non-empty")
+	}
 	if p.Flows < 2 {
 		return fmt.Errorf("Flows must be at least 2 (half TCP, half TFRC), got %d", p.Flows)
-	}
-	if p.LinkMbps <= 0 {
-		return fmt.Errorf("LinkMbps must be positive, got %v", p.LinkMbps)
 	}
 	if p.Duration <= 0 || p.TraceFrom < 0 || p.TraceFrom >= p.Duration {
 		return fmt.Errorf("need 0 <= TraceFrom < Duration, got TraceFrom=%v Duration=%v",
@@ -61,102 +63,72 @@ func (p *Fig08Params) Validate() error {
 	if p.NTrace < 1 {
 		return fmt.Errorf("NTrace must be at least 1, got %d", p.NTrace)
 	}
-	if p.Seeds < 0 {
-		return fmt.Errorf("Seeds must be non-negative, got %d", p.Seeds)
-	}
-	return nil
-}
-
-// Fig08GridParams runs the trace experiment once per queue discipline —
-// the registry form of the CLI's historical DropTail-then-RED loop.
-type Fig08GridParams struct {
-	Queues []netsim.QueueKind
-	Flows  int
-	Seed   int64
-	Seeds  int
-}
-
-// DefaultFig08Grid traces both queue disciplines at the paper's setup.
-func DefaultFig08Grid() Fig08GridParams {
-	return Fig08GridParams{
-		Queues: []netsim.QueueKind{netsim.QueueDropTail, netsim.QueueRED},
-		Flows:  32,
-		Seed:   1,
-	}
-}
-
-// Validate implements Params.
-func (p *Fig08GridParams) Validate() error {
-	if len(p.Queues) == 0 {
-		return fmt.Errorf("Queues must be non-empty")
-	}
-	if p.Flows < 2 {
-		return fmt.Errorf("Flows must be at least 2 (half TCP, half TFRC), got %d", p.Flows)
-	}
-	if p.Seeds < 0 {
-		return fmt.Errorf("Seeds must be non-negative, got %d", p.Seeds)
+	if err := checkReplicates("Seeds", p.Seeds, 0); err != nil {
+		return err
 	}
 	return nil
 }
 
 // SetSeed implements SeedSetter.
-func (p *Fig08GridParams) SetSeed(seed int64) { p.Seed = seed }
+func (p *Fig08Params) SetSeed(seed int64) { p.Seed = seed }
 
 // SetSeeds implements SeedsSetter.
-func (p *Fig08GridParams) SetSeeds(n int) { p.Seeds = n }
+func (p *Fig08Params) SetSeeds(n int) { p.Seeds = n }
 
 // Fig08GridResult is one Fig08Result per requested queue discipline.
 type Fig08GridResult struct{ Results []*Fig08Result }
 
-// queue is the per-queue trace experiment the grid runs for q.
-func (p *Fig08GridParams) queue(q netsim.QueueKind) Fig08Params {
-	qp := DefaultFig08(q)
-	qp.Flows, qp.Seed, qp.Seeds = p.Flows, p.Seed, p.Seeds
-	return qp
-}
+// fig08Cells flattens the (queue × seed) grid queue-major.
+func fig08Cells(pr *Fig08Params) int { return len(pr.Queues) * max(pr.Seeds, 1) }
 
-// fig08GridCells flattens the (queue × seed) grid queue-major.
-func fig08GridCells(pr *Fig08GridParams) int { return len(pr.Queues) * max(pr.Seeds, 1) }
-
-// fig08GridRunRange computes cells [r.Lo, r.Hi), one trace simulation
-// per cell.
-func fig08GridRunRange(pr *Fig08GridParams, r CellRange) []*Fig08Result {
+// fig08RunRange computes cells [r.Lo, r.Hi), one trace simulation per
+// cell.
+func fig08RunRange(pr *Fig08Params, r CellRange) []*Fig08Result {
 	seeds := max(pr.Seeds, 1)
 	return runCells(r.Len(), func(c *Cell, i int) *Fig08Result {
 		idx := r.Lo + i
-		qp := pr.queue(pr.Queues[idx/seeds])
-		return runFig08Seed(c, &qp, idx%seeds)
+		return runFig08Seed(c, pr, pr.Queues[idx/seeds], idx%seeds)
 	})
 }
 
-// fig08GridReduce aggregates each queue's seeds in queue order.
-func fig08GridReduce(pr *Fig08GridParams, cells []*Fig08Result) *Fig08GridResult {
+// fig08Reduce aggregates each queue's seeds in queue order: every queue
+// keeps its first seed's traces, and with Seeds > 1 the CoV summaries
+// aggregate to mean ± 90% CI.
+func fig08Reduce(pr *Fig08Params, cells []*Fig08Result) *Fig08GridResult {
 	seeds := max(pr.Seeds, 1)
 	out := &Fig08GridResult{}
 	for qi := range pr.Queues {
-		out.Results = append(out.Results, fig08Reduce(nil, cells[qi*seeds:(qi+1)*seeds]))
+		group := cells[qi*seeds : (qi+1)*seeds]
+		res := group[0]
+		if seeds > 1 {
+			covT := make([]float64, seeds)
+			covF := make([]float64, seeds)
+			for i, c := range group {
+				covT[i], covF[i] = c.CoVTCP, c.CoVTFRC
+			}
+			res.Seeds = seeds
+			res.CoVTCP, res.CoVTCPCI = stats.MeanCI90(covT)
+			res.CoVTFRC, res.CoVTFRCCI = stats.MeanCI90(covF)
+		}
+		out.Results = append(out.Results, res)
 	}
 	return out
 }
 
-// Table implements Result, printing each queue's block in order —
-// byte-identical to the historical CLI loop.
+// Table emits each queue's block in order.
 func (r *Fig08GridResult) Table(w io.Writer) {
 	for _, res := range r.Results {
-		res.Print(w)
+		res.Table(w)
 	}
 }
-
-// Print emits every queue's block.
-func (r *Fig08GridResult) Print(w io.Writer) { r.Table(w) }
 
 func init() {
 	Register(Descriptor{
 		Name:        "fig8",
 		Aliases:     []string{"8"},
 		Description: "per-flow throughput traces (DropTail and RED)",
-		Params:      paramsFn[Fig08GridParams](DefaultFig08Grid),
-		Grid:        GridAs(fig08GridCells, fig08GridRunRange, fig08GridReduce),
+		Params:      paramsFn[Fig08Params](DefaultFig08),
+		Grid:        GridAs(fig08Cells, fig08RunRange, fig08Reduce),
 	})
 }
 
@@ -176,14 +148,15 @@ type Fig08Result struct {
 	CoVTFRCCI float64
 }
 
-// runFig08Seed runs one trace simulation at seed replicate rep.
-func runFig08Seed(c *Cell, pr *Fig08Params, rep int) *Fig08Result {
+// runFig08Seed runs one trace simulation of queue discipline q at seed
+// replicate rep.
+func runFig08Seed(c *Cell, pr *Fig08Params, q netsim.QueueKind, rep int) *Fig08Result {
 	n := pr.Flows / 2
 	sc := Scenario{
 		NTCP:         n,
 		NTFRC:        n,
-		BottleneckBW: pr.LinkMbps * 1e6,
-		Queue:        pr.Queue,
+		BottleneckBW: fig08LinkMbps * 1e6,
+		Queue:        q,
 		QueueLimit:   250,
 		REDMin:       25,
 		REDMax:       125,
@@ -194,7 +167,7 @@ func runFig08Seed(c *Cell, pr *Fig08Params, rep int) *Fig08Result {
 		Seed:         pr.Seed + int64(rep)*6151,
 	}
 	res := runScenarioCell(c, sc)
-	out := &Fig08Result{Queue: pr.Queue, BinWidth: pr.BinWidth}
+	out := &Fig08Result{Queue: q, BinWidth: pr.BinWidth}
 	for i := 0; i < pr.NTrace && i < len(res.TCPSeries); i++ {
 		out.TCPTraces = append(out.TCPTraces, res.TCPSeries[i])
 	}
@@ -217,43 +190,8 @@ func runFig08Seed(c *Cell, pr *Fig08Params, rep int) *Fig08Result {
 	return out
 }
 
-// fig08Cells is one cell per seed replicate.
-func fig08Cells(pr *Fig08Params) int { return max(pr.Seeds, 1) }
-
-// fig08RunRange computes seed replicates [r.Lo, r.Hi).
-func fig08RunRange(pr *Fig08Params, r CellRange) []*Fig08Result {
-	return runCells(r.Len(), func(c *Cell, i int) *Fig08Result { return runFig08Seed(c, pr, r.Lo+i) })
-}
-
-// fig08Reduce keeps the first seed's traces; with Seeds > 1 the CoV
-// summaries aggregate to mean ± 90% CI.
-func fig08Reduce(_ *Fig08Params, cells []*Fig08Result) *Fig08Result {
-	out := cells[0]
-	if seeds := len(cells); seeds > 1 {
-		covT := make([]float64, seeds)
-		covF := make([]float64, seeds)
-		for i, c := range cells {
-			covT[i], covF[i] = c.CoVTCP, c.CoVTFRC
-		}
-		out.Seeds = seeds
-		out.CoVTCP, out.CoVTCPCI = stats.MeanCI90(covT)
-		out.CoVTFRC, out.CoVTFRCCI = stats.MeanCI90(covF)
-	}
-	return out
-}
-
-// RunFig08 runs the trace experiment on one queue discipline. With
-// Seeds > 1 the seeds execute as independent cells on the sweep runner;
-// results are identical at any parallelism.
-func RunFig08(pr Fig08Params) *Fig08Result {
-	return fig08Reduce(&pr, fig08RunRange(&pr, CellRange{0, fig08Cells(&pr)}))
-}
-
-// Table implements Result.
-func (r *Fig08Result) Table(w io.Writer) { r.Print(w) }
-
-// Print emits the traces: "bin TF1..TFn TCP1..TCPn" in KB per bin.
-func (r *Fig08Result) Print(w io.Writer) {
+// Table emits the traces: "bin TF1..TFn TCP1..TCPn" in KB per bin.
+func (r *Fig08Result) Table(w io.Writer) {
 	fmt.Fprintf(w, "# Figure 8: per-flow throughput traces, %s queue (KB per %.2fs bin)\n",
 		r.Queue, r.BinWidth)
 	fmt.Fprint(w, "# time")

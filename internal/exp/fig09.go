@@ -47,8 +47,8 @@ func PaperFig09() Fig09Params {
 
 // Validate implements Params.
 func (p *Fig09Params) Validate() error {
-	if p.Runs < 1 {
-		return fmt.Errorf("Runs must be at least 1, got %d", p.Runs)
+	if err := checkReplicates("Runs", p.Runs, 1); err != nil {
+		return err
 	}
 	if p.FlowsEach < 2 {
 		return fmt.Errorf("FlowsEach must be at least 2 (the equivalence ratio pairs flows), got %d", p.FlowsEach)
@@ -179,18 +179,8 @@ func fig09Reduce(pr *Fig09Params, runs []Fig09Run) *Fig09Result {
 	return res
 }
 
-// RunFig09 runs the multi-run study, one independent simulation per run
-// on the sweep runner; runs merge back in run order so results are
-// identical at any parallelism.
-func RunFig09(pr Fig09Params) *Fig09Result {
-	return fig09Reduce(&pr, fig09RunRange(&pr, CellRange{0, fig09Cells(&pr)}))
-}
-
-// Table implements Result.
-func (r *Fig09Result) Table(w io.Writer) { r.Print(w) }
-
-// Print emits both figures' rows.
-func (r *Fig09Result) Print(w io.Writer) {
+// Table emits both figures' rows.
+func (r *Fig09Result) Table(w io.Writer) {
 	fmt.Fprintln(w, "# Figure 9: equivalence ratio vs measurement timescale (mean ± 90% CI)")
 	fmt.Fprintln(w, "# timescale\tTFRCvTFRC\tci\tTCPvTCP\tci\tTFRCvTCP\tci")
 	for i, ts := range r.Timescales {

@@ -61,8 +61,8 @@ func (p *Fig11Params) Validate() error {
 	if err := validateTimescales(p.Timescales); err != nil {
 		return err
 	}
-	if p.Runs < 1 {
-		return fmt.Errorf("Runs must be at least 1, got %d", p.Runs)
+	if err := checkReplicates("Runs", p.Runs, 1); err != nil {
+		return err
 	}
 	return nil
 }
@@ -210,17 +210,8 @@ func fig11Reduce(pr *Fig11Params, cells []Fig11Cell) *Fig11Result {
 	return res
 }
 
-// RunFig11 runs the sweep: the (sources × runs) grid flattens onto the
-// worker pool, then each source count aggregates its runs in run order.
-func RunFig11(pr Fig11Params) *Fig11Result {
-	return fig11Reduce(&pr, fig11RunRange(&pr, CellRange{0, fig11Cells(&pr)}))
-}
-
-// Table implements Result.
-func (r *Fig11Result) Table(w io.Writer) { r.Print(w) }
-
-// Print emits all three figures' rows.
-func (r *Fig11Result) Print(w io.Writer) {
+// Table emits all three figures' rows.
+func (r *Fig11Result) Table(w io.Writer) {
 	fmt.Fprintln(w, "# Figure 11: bottleneck loss rate vs number of ON/OFF sources")
 	fmt.Fprintln(w, "# sources\tlossRate\tci")
 	for _, row := range r.Rows {

@@ -61,8 +61,8 @@ func (p *Fig14Params) Validate() error {
 	if p.MiceLoad < 0 {
 		return fmt.Errorf("MiceLoad must be non-negative, got %v", p.MiceLoad)
 	}
-	if p.Seeds < 0 {
-		return fmt.Errorf("Seeds must be non-negative, got %d", p.Seeds)
+	if err := checkReplicates("Seeds", p.Seeds, 0); err != nil {
+		return err
 	}
 	return nil
 }
@@ -171,18 +171,8 @@ func fig14Reduce(pr *Fig14Params, cells []Fig14Side) *Fig14Result {
 	}
 }
 
-// RunFig14 runs both sides as independent cells on the sweep runner;
-// results are identical at any parallelism and multi-seed runs gain
-// 90% CIs.
-func RunFig14(pr Fig14Params) *Fig14Result {
-	return fig14Reduce(&pr, fig14RunRange(&pr, CellRange{0, fig14Cells(&pr)}))
-}
-
-// Table implements Result.
-func (r *Fig14Result) Table(w io.Writer) { r.Print(w) }
-
-// Print emits the queue traces and the summary comparison.
-func (r *Fig14Result) Print(w io.Writer) {
+// Table emits the queue traces and the summary comparison.
+func (r *Fig14Result) Table(w io.Writer) {
 	fmt.Fprintln(w, "# Figure 14: queue dynamics, 40 long-lived TCP vs TFRC flows, DropTail")
 	for _, side := range []Fig14Side{r.TCP, r.TFRC} {
 		if side.Seeds > 1 {

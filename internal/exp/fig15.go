@@ -82,8 +82,8 @@ func (p *Fig15Params) Validate() error {
 	if p.Duration <= 0 {
 		return fmt.Errorf("Duration must be positive, got %v", p.Duration)
 	}
-	if p.Seeds < 0 {
-		return fmt.Errorf("Seeds must be non-negative, got %d", p.Seeds)
+	if err := checkReplicates("Seeds", p.Seeds, 0); err != nil {
+		return err
 	}
 	return nil
 }
@@ -211,18 +211,8 @@ func fig15Reduce(_ *Fig15Params, cells []*Fig15Result) *Fig15Result {
 	return out
 }
 
-// RunFig15 runs the trace experiment on the UCL-like path, its seeds as
-// independent cells on the sweep runner; results are identical at any
-// parallelism.
-func RunFig15(pr Fig15Params) *Fig15Result {
-	return fig15Reduce(&pr, fig15RunRange(&pr, CellRange{0, fig15Cells(&pr)}))
-}
-
-// Table implements Result.
-func (r *Fig15Result) Table(w io.Writer) { r.Print(w) }
-
-// Print emits "time tcp1 tcp2 tcp3 tfrc" rows in KB/s.
-func (r *Fig15Result) Print(w io.Writer) {
+// Table emits "time tcp1 tcp2 tcp3 tfrc" rows in KB/s.
+func (r *Fig15Result) Table(w io.Writer) {
 	fmt.Fprintln(w, "# Figure 15: 3 TCP + 1 TFRC on the transcontinental path profile (KB/s)")
 	fmt.Fprintln(w, "# time\tTCP1\tTCP2\tTCP3\tTFRC")
 	for i := range r.TFRCTrace {
@@ -277,16 +267,8 @@ func fig16Reduce(pr *Fig16Params, rows []Fig16Row) *Fig16Result {
 	return &Fig16Result{Timescales: pr.Timescales, Rows: rows}
 }
 
-// RunFig16 runs one TFRC against one TCP on every path profile.
-func RunFig16(pr Fig16Params) *Fig16Result {
-	return fig16Reduce(&pr, fig16RunRange(&pr, CellRange{0, fig16Cells(&pr)}))
-}
-
-// Table implements Result.
-func (r *Fig16Result) Table(w io.Writer) { r.Print(w) }
-
-// Print emits Figures 16 and 17 rows.
-func (r *Fig16Result) Print(w io.Writer) {
+// Table emits Figures 16 and 17 rows.
+func (r *Fig16Result) Table(w io.Writer) {
 	fmt.Fprintln(w, "# Figure 16: TCP equivalence with TFRC across path profiles")
 	fmt.Fprint(w, "# timescale")
 	for _, row := range r.Rows {

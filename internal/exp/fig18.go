@@ -215,17 +215,8 @@ func fig18Reduce(pr *Fig18Params, traces [][]float64) *Fig18Result {
 	return res
 }
 
-// RunFig18 harvests the traces and scores every estimator
-// configuration.
-func RunFig18(pr Fig18Params) *Fig18Result {
-	return fig18Reduce(&pr, fig18RunRange(&pr, CellRange{0, fig18Cells(&pr)}))
-}
-
-// Table implements Result.
-func (r *Fig18Result) Table(w io.Writer) { r.Print(w) }
-
-// Print emits "history weights avgError errStdDev" rows.
-func (r *Fig18Result) Print(w io.Writer) {
+// Table emits "history weights avgError errStdDev" rows.
+func (r *Fig18Result) Table(w io.Writer) {
 	fmt.Fprintln(w, "# Figure 18: loss-prediction error by history size and weighting")
 	fmt.Fprintln(w, "# history\tweights\tavgError\terrStdDev")
 	for _, p := range r.Points {

@@ -132,9 +132,6 @@ type Fig19Result struct {
 	MaxIncreasePerRTT float64
 }
 
-// RunFig19 runs the trace experiment.
-func RunFig19(pr Fig19Params) *Fig19Result { return runOne(&pr, runFig19) }
-
 // runFig19 is the trace experiment's one cell.
 func runFig19(c *Cell, pr *Fig19Params) *Fig19Result {
 	sched := c.begin()
@@ -188,11 +185,8 @@ func runFig19(c *Cell, pr *Fig19Params) *Fig19Result {
 	return res
 }
 
-// Table implements Result.
-func (r *Fig19Result) Table(w io.Writer) { r.Print(w) }
-
-// Print emits "time rate(pkts/RTT)" rows plus a summary.
-func (r *Fig19Result) Print(w io.Writer) {
+// Table emits "time rate(pkts/RTT)" rows plus a summary.
+func (r *Fig19Result) Table(w io.Writer) {
 	fmt.Fprintln(w, "# Figures 19/20: allowed sending rate of a single TFRC flow")
 	fmt.Fprintln(w, "# time\trate(pkts/RTT)\trate(KB/s)")
 	for _, p := range r.Points {
@@ -241,18 +235,8 @@ func fig21Reduce(pr *Fig21Params, rows []Fig21Row) *Fig21Result {
 	return &Fig21Result{Rows: rows}
 }
 
-// RunFig21 sweeps the pre-switch packet drop rate as in Figure 21,
-// switching to every-2nd-packet loss at t = 10 and counting round-trips
-// until the rate halves.
-func RunFig21(pr Fig21Params) *Fig21Result {
-	return fig21Reduce(&pr, fig21RunRange(&pr, CellRange{0, fig21Cells(&pr)}))
-}
-
-// Table implements Result.
-func (r *Fig21Result) Table(w io.Writer) { r.Print(w) }
-
-// Print emits "dropRate rttsToHalve" rows.
-func (r *Fig21Result) Print(w io.Writer) {
+// Table emits "dropRate rttsToHalve" rows.
+func (r *Fig21Result) Table(w io.Writer) {
 	fmt.Fprintln(w, "# Figure 21: round-trips of persistent congestion to halve the rate")
 	fmt.Fprintln(w, "# dropRate\tRTTs")
 	for _, row := range r.Rows {

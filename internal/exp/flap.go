@@ -105,9 +105,6 @@ type FlapResult struct {
 	DropRate  float64
 }
 
-// RunFlap runs the flap scenario.
-func RunFlap(pr FlapParams) *FlapResult { return runOne(&pr, runFlapCell) }
-
 func runFlapCell(c *Cell, pr *FlapParams) *FlapResult {
 	sched := c.begin()
 	rng := sched.NewRand(pr.Seed)
@@ -186,11 +183,8 @@ func runFlapCell(c *Cell, pr *FlapParams) *FlapResult {
 	return out
 }
 
-// Table implements Result.
-func (r *FlapResult) Table(w io.Writer) { r.Print(w) }
-
-// Print emits the phase summary and the aggregate traces.
-func (r *FlapResult) Print(w io.Writer) {
+// Table emits the phase summary and the aggregate traces.
+func (r *FlapResult) Table(w io.Writer) {
 	mode := "drop"
 	if r.Params.Drain {
 		mode = "hold"

@@ -120,17 +120,8 @@ func GridAs[P Params, C any, R Result](
 // whole simulation on a worker-pinned Cell, and its Result is the one
 // cell's payload.
 func cellAs[P Params, R Result](run func(*Cell, P) R) *Grid {
-	return GridAs(func(P) int { return 1 }, oneCell(run), func(_ P, cells []R) R { return cells[0] })
-}
-
-// oneCell is the range runner of a 1-cell grid.
-func oneCell[P, R any](run func(*Cell, P) R) func(P, CellRange) []R {
-	return func(p P, r CellRange) []R {
+	runRange := func(p P, r CellRange) []R {
 		return runCells(r.Len(), func(c *Cell, _ int) R { return run(c, p) })
 	}
-}
-
-// runOne runs a 1-cell experiment whole, as its grid does.
-func runOne[P, R any](p P, run func(*Cell, P) R) R {
-	return oneCell(run)(p, CellRange{0, 1})[0]
+	return GridAs(func(P) int { return 1 }, runRange, func(_ P, cells []R) R { return cells[0] })
 }

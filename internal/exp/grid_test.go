@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
+
+	"tfrc/internal/netsim"
 )
 
 // smokeParams overlays each registered experiment's defaults with a
@@ -19,7 +21,7 @@ var smokeParams = map[string]string{
 	"fig5":       `{"PLoss":[0.01,0.05,0.1,0.2]}`,
 	"fig6":       `{"LinkMbps":[1,4],"TotalFlows":[2,4],"Queues":["DropTail","RED"],"Duration":8,"MeasureTail":4,"Seeds":2}`,
 	"fig7":       `{"TotalFlows":[4,8,12],"Duration":8,"MeasureTail":4}`,
-	"fig8":       `{"Flows":4,"Seeds":2}`,
+	"fig8":       `{"Flows":4,"Duration":6,"TraceFrom":3,"Seeds":2}`,
 	"fig9":       `{"Runs":3,"FlowsEach":2,"Duration":8,"Warmup":2,"Timescales":[0.5,1]}`,
 	"fig11":      `{"Sources":[10,20],"Duration":8,"Warmup":2,"Timescales":[0.5,1],"Runs":2}`,
 	"fig14":      `{"Flows":4,"Stagger":2,"Duration":5,"Seeds":2}`,
@@ -49,6 +51,37 @@ func render(t *testing.T, res Result) (table, js []byte) {
 		t.Fatalf("result does not marshal: %v", err)
 	}
 	return b.Bytes(), js
+}
+
+// runExp runs the named experiment through RunExperiment, the one
+// execution path, on parameters p and returns its typed result.
+func runExp[R Result, P any, PP interface {
+	*P
+	Params
+}](t testing.TB, name string, p P) R {
+	t.Helper()
+	d, ok := Lookup(name)
+	if !ok {
+		t.Fatalf("no experiment %q", name)
+	}
+	res, err := RunExperiment(d, PP(&p))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.(R)
+}
+
+// fig06Cell runs one Figure 6 grid point at one seed.
+func fig06Cell(t testing.TB, q netsim.QueueKind, linkMbps float64, flows int, duration, tail float64, seed int64) Fig06Cell {
+	t.Helper()
+	return runExp[*Fig06Result](t, "fig6", Fig06Params{
+		LinkMbps:    []float64{linkMbps},
+		TotalFlows:  []int{flows},
+		Queues:      []netsim.QueueKind{q},
+		Duration:    duration,
+		MeasureTail: tail,
+		Seed:        seed,
+	}).Cells[0]
 }
 
 // TestEveryExperimentRunsAsGrid pins the one execution path: for every

@@ -53,16 +53,16 @@ func TestScenarioConservation(t *testing.T) {
 // TestExperimentsDeterministic re-runs a representative sample of the
 // figure experiments and requires bit-identical headline numbers.
 func TestExperimentsDeterministic(t *testing.T) {
-	if a, b := RunFig19(DefaultFig20()), RunFig19(DefaultFig20()); a.HalvedAfterRTTs != b.HalvedAfterRTTs {
+	if a, b := runExp[*Fig19Result](t, "fig20", DefaultFig20()), runExp[*Fig19Result](t, "fig20", DefaultFig20()); a.HalvedAfterRTTs != b.HalvedAfterRTTs {
 		t.Fatalf("fig20 not deterministic: %d vs %d", a.HalvedAfterRTTs, b.HalvedAfterRTTs)
 	}
-	c1 := RunFig06Cell(netsim.QueueRED, 4, 4, 30, 15, 9)
-	c2 := RunFig06Cell(netsim.QueueRED, 4, 4, 30, 15, 9)
+	c1 := fig06Cell(t, netsim.QueueRED, 4, 4, 30, 15, 9)
+	c2 := fig06Cell(t, netsim.QueueRED, 4, 4, 30, 15, 9)
 	if c1.NormTCP != c2.NormTCP || c1.DropRate != c2.DropRate {
 		t.Fatalf("fig6 cell not deterministic: %+v vs %+v", c1, c2)
 	}
-	r1 := RunFig15(Fig15Params{Duration: 40, Seed: 3})
-	r2 := RunFig15(Fig15Params{Duration: 40, Seed: 3})
+	r1 := runExp[*Fig15Result](t, "fig15", Fig15Params{Duration: 40, Seed: 3})
+	r2 := runExp[*Fig15Result](t, "fig15", Fig15Params{Duration: 40, Seed: 3})
 	if r1.MeanTCP != r2.MeanTCP || r1.MeanTFRC != r2.MeanTFRC {
 		t.Fatal("fig15 not deterministic")
 	}
@@ -70,8 +70,8 @@ func TestExperimentsDeterministic(t *testing.T) {
 
 // TestSeedChangesOutcome guards against accidentally ignoring the seed.
 func TestSeedChangesOutcome(t *testing.T) {
-	a := RunFig06Cell(netsim.QueueRED, 4, 4, 30, 15, 1)
-	b := RunFig06Cell(netsim.QueueRED, 4, 4, 30, 15, 2)
+	a := fig06Cell(t, netsim.QueueRED, 4, 4, 30, 15, 1)
+	b := fig06Cell(t, netsim.QueueRED, 4, 4, 30, 15, 2)
 	if a.NormTCP == b.NormTCP && a.DropRate == b.DropRate {
 		t.Fatal("different seeds produced identical results")
 	}

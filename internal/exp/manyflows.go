@@ -138,12 +138,12 @@ type ManyFlowsResult struct {
 	Cells  []ManyFlowsDecade
 }
 
-// RunManyFlowsDecade runs one rung: n flows across a four-node chain
+// runManyFlowsDecade runs one rung: n flows across a four-node chain
 // src — L — R — dst whose middle link carries n × PerFlowKbps. The
 // scheduler is freshly built and released per call rather than drawn
 // from the worker cell pool: a million-flow working set must not stay
 // pinned in a pooled arena after the experiment moves on.
-func RunManyFlowsDecade(n int, pr ManyFlowsParams) ManyFlowsDecade {
+func runManyFlowsDecade(n int, pr ManyFlowsParams) ManyFlowsDecade {
 	sched := sim.NewScheduler()
 	sched.Pin()
 	defer sched.Release()
@@ -255,7 +255,7 @@ func manyFlowsRunRange(pr *ManyFlowsParams, r CellRange) []ManyFlowsDecade {
 		if Interrupted() {
 			break // skipped decades stay zero, as on the worker pool
 		}
-		out[i] = RunManyFlowsDecade(n, *pr)
+		out[i] = runManyFlowsDecade(n, *pr)
 	}
 	return out
 }
@@ -265,16 +265,8 @@ func manyFlowsReduce(pr *ManyFlowsParams, cells []ManyFlowsDecade) *ManyFlowsRes
 	return &ManyFlowsResult{Params: *pr, Cells: cells}
 }
 
-// RunManyFlows climbs the whole ladder.
-func RunManyFlows(pr ManyFlowsParams) *ManyFlowsResult {
-	return manyFlowsReduce(&pr, manyFlowsRunRange(&pr, CellRange{0, manyFlowsCells(&pr)}))
-}
-
-// Table implements Result.
-func (r *ManyFlowsResult) Table(w io.Writer) { r.Print(w) }
-
-// Print emits one row per decade.
-func (r *ManyFlowsResult) Print(w io.Writer) {
+// Table emits one row per decade.
+func (r *ManyFlowsResult) Table(w io.Writer) {
 	fmt.Fprintln(w, "# Many flows: aggregate behavior vs concurrent flow count")
 	fmt.Fprintf(w, "# %.0f kb/s per flow, RTT %.0f ms, %s bottleneck; throughput normalized by the fair share\n",
 		r.Params.PerFlowKbps, r.Params.RTT*1000, r.Params.Queue)

@@ -14,7 +14,7 @@ func smallManyFlows() ManyFlowsParams {
 }
 
 func TestManyFlowsSmallDecade(t *testing.T) {
-	res := RunManyFlows(smallManyFlows())
+	res := runExp[*ManyFlowsResult](t, "manyflows", smallManyFlows())
 	if len(res.Cells) != 1 {
 		t.Fatalf("got %d cells, want 1", len(res.Cells))
 	}
@@ -47,8 +47,8 @@ func TestManyFlowsSmallDecade(t *testing.T) {
 
 func TestManyFlowsDeterministic(t *testing.T) {
 	p := smallManyFlows()
-	a := RunManyFlows(p)
-	b := RunManyFlows(p)
+	a := runExp[*ManyFlowsResult](t, "manyflows", p)
+	b := runExp[*ManyFlowsResult](t, "manyflows", p)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("identical params produced different results")
 	}

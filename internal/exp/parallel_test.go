@@ -28,8 +28,8 @@ func TestParallelFig06ByteIdentical(t *testing.T) {
 		Seed:        3,
 	}
 	var seq, par bytes.Buffer
-	withParallelism(1, func() { RunFig06(pr).Print(&seq) })
-	withParallelism(8, func() { RunFig06(pr).Print(&par) })
+	withParallelism(1, func() { runExp[*Fig06Result](t, "fig6", pr).Table(&seq) })
+	withParallelism(8, func() { runExp[*Fig06Result](t, "fig6", pr).Table(&par) })
 	if !bytes.Equal(seq.Bytes(), par.Bytes()) {
 		t.Fatalf("parallel Fig06 output differs from sequential:\n--- sequential\n%s--- parallel\n%s",
 			seq.String(), par.String())
@@ -48,8 +48,8 @@ func TestParallelFig09ByteIdentical(t *testing.T) {
 		Seed:       2,
 	}
 	var seq, par bytes.Buffer
-	withParallelism(1, func() { RunFig09(pr).Print(&seq) })
-	withParallelism(8, func() { RunFig09(pr).Print(&par) })
+	withParallelism(1, func() { runExp[*Fig09Result](t, "fig9", pr).Table(&seq) })
+	withParallelism(8, func() { runExp[*Fig09Result](t, "fig9", pr).Table(&par) })
 	if !bytes.Equal(seq.Bytes(), par.Bytes()) {
 		t.Fatalf("parallel Fig09 output differs from sequential:\n--- sequential\n%s--- parallel\n%s",
 			seq.String(), par.String())
@@ -70,8 +70,8 @@ func TestFig06MultiSeedCI(t *testing.T) {
 		Seeds:       3,
 	}
 	var a, b *Fig06Result
-	withParallelism(4, func() { a = RunFig06(pr) })
-	withParallelism(1, func() { b = RunFig06(pr) })
+	withParallelism(4, func() { a = runExp[*Fig06Result](t, "fig6", pr) })
+	withParallelism(1, func() { b = runExp[*Fig06Result](t, "fig6", pr) })
 	if len(a.Cells) != 1 {
 		t.Fatalf("got %d cells, want 1 (seeds aggregate within a cell)", len(a.Cells))
 	}
@@ -93,7 +93,7 @@ func TestFig06MultiSeedCI(t *testing.T) {
 	}
 	// Single-seed behavior is unchanged: no CI columns, Seeds zero.
 	pr.Seeds = 1
-	r := RunFig06(pr)
+	r := runExp[*Fig06Result](t, "fig6", pr)
 	if got := r.Cells[0]; got.Seeds != 0 || got.NormTCPCI != 0 {
 		t.Fatalf("Seeds=1 must leave CI fields zero: %+v", got)
 	}

@@ -44,7 +44,7 @@ func DefaultParkingLot() ParkingLotParams {
 	}
 }
 
-// PaperParkingLot is the full-scale grid the CLI's -paper flag selects.
+// PaperParkingLot is the full-scale grid of the "paper" preset.
 func PaperParkingLot() ParkingLotParams {
 	p := DefaultParkingLot()
 	p.Duration, p.Warmup = 300, 60
@@ -71,8 +71,8 @@ func (p *ParkingLotParams) Validate() error {
 	if p.Duration <= 0 || p.Warmup < 0 || p.Warmup >= p.Duration {
 		return fmt.Errorf("need 0 <= Warmup < Duration, got Warmup=%v Duration=%v", p.Warmup, p.Duration)
 	}
-	if p.Seeds < 0 {
-		return fmt.Errorf("Seeds must be non-negative, got %d", p.Seeds)
+	if err := checkReplicates("Seeds", p.Seeds, 0); err != nil {
+		return err
 	}
 	return nil
 }
@@ -237,18 +237,8 @@ func parkingLotReduce(pr *ParkingLotParams, raw []ParkingLotCell) *ParkingLotRes
 	return res
 }
 
-// RunParkingLot runs the grid: every (bottlenecks, seed) combination is
-// an independent cell on the sweep runner, merged in deterministic grid
-// order so output is bit-identical at any parallelism.
-func RunParkingLot(pr ParkingLotParams) *ParkingLotResult {
-	return parkingLotReduce(&pr, parkingLotRunRange(&pr, CellRange{0, parkingLotCells(&pr)}))
-}
-
-// Table implements Result.
-func (r *ParkingLotResult) Table(w io.Writer) { r.Print(w) }
-
-// Print emits one row per bottleneck count.
-func (r *ParkingLotResult) Print(w io.Writer) {
+// Table emits one row per bottleneck count.
+func (r *ParkingLotResult) Table(w io.Writer) {
 	fmt.Fprintln(w, "# Parking lot: through TFRC vs through TCP across k bottlenecks")
 	fmt.Fprintf(w, "# %d cross TCP pairs per segment, %.0f Mb/s links, %s queues; throughput normalized by the per-bottleneck fair share\n",
 		r.Params.CrossPairs, r.Params.LinkMbps, r.Params.Queue)

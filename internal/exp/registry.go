@@ -18,9 +18,8 @@ type Params interface {
 }
 
 // Result is what an experiment run produces. Table writes the
-// gnuplot-ready text table (byte-identical to the historical Print
-// output); the concrete result structs additionally marshal to JSON via
-// encoding/json with stable keys.
+// gnuplot-ready text table; the concrete result structs additionally
+// marshal to JSON via encoding/json with stable keys.
 type Result interface {
 	Table(w io.Writer)
 }
@@ -48,7 +47,7 @@ type Descriptor struct {
 	// Aliases are alternate lookup keys — panels the experiment
 	// includes ("fig10" for fig9) and bare figure numbers ("6").
 	Aliases []string
-	// Description is the one-line text shown by -list.
+	// Description is the one-line text shown by tfrcsim list.
 	Description string
 	// Params returns a fresh default parameter set. It must return a
 	// pointer so JSON decoding and seed overrides mutate it in place.
@@ -246,6 +245,20 @@ func runGrid(g *Grid, p Params) (Result, error) {
 		return nil, err
 	}
 	return g.Reduce(p, cells)
+}
+
+// maxReplicates bounds seed, run and soak-cell counts: far beyond any
+// real study, and small enough that replicates times a grid's axis
+// lengths stays far from int overflow (fuzzing found 2^62 seeds giving
+// zero or negative cell counts).
+const maxReplicates = 1 << 20
+
+// checkReplicates reports a replicate count outside [lo, maxReplicates].
+func checkReplicates(field string, n, lo int) error {
+	if n < lo || n > maxReplicates {
+		return fmt.Errorf("%s must be in [%d, %d], got %d", field, lo, maxReplicates, n)
+	}
+	return nil
 }
 
 // paramsFn adapts a by-value default-params constructor to the

@@ -34,14 +34,14 @@ func compareGolden(t *testing.T, name string, got []byte) {
 
 func TestFig06ByteIdenticalToPreRefactor(t *testing.T) {
 	var b bytes.Buffer
-	RunFig06(Fig06Params{
+	runExp[*Fig06Result](t, "fig6", Fig06Params{
 		LinkMbps:    []float64{2, 4},
 		TotalFlows:  []int{2, 4},
 		Queues:      []netsim.QueueKind{netsim.QueueDropTail, netsim.QueueRED},
 		Duration:    20,
 		MeasureTail: 10,
 		Seed:        3,
-	}).Print(&b)
+	}).Table(&b)
 	compareGolden(t, "fig06_regression.golden", b.Bytes())
 }
 
@@ -52,7 +52,7 @@ func TestFig06ByteIdenticalToPreRefactor(t *testing.T) {
 // output byte on a topology that exercises multi-hop forwarding.
 func TestParkingLotByteIdentical(t *testing.T) {
 	var b bytes.Buffer
-	RunParkingLot(ParkingLotParams{
+	runExp[*ParkingLotResult](t, "parkinglot", ParkingLotParams{
 		Bottlenecks: []int{1, 2},
 		CrossPairs:  1,
 		LinkMbps:    3,
@@ -60,19 +60,19 @@ func TestParkingLotByteIdentical(t *testing.T) {
 		Duration:    25,
 		Warmup:      10,
 		Seed:        5,
-	}).Print(&b)
+	}).Table(&b)
 	compareGolden(t, "parkinglot_regression.golden", b.Bytes())
 }
 
 func TestFig09ByteIdenticalToPreRefactor(t *testing.T) {
 	var b bytes.Buffer
-	RunFig09(Fig09Params{
+	runExp[*Fig09Result](t, "fig9", Fig09Params{
 		Runs:       3,
 		FlowsEach:  4,
 		Duration:   25,
 		Warmup:     10,
 		Timescales: []float64{0.5, 1, 5},
 		Seed:       2,
-	}).Print(&b)
+	}).Table(&b)
 	compareGolden(t, "fig09_regression.golden", b.Bytes())
 }

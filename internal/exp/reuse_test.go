@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"tfrc/internal/netsim"
@@ -128,5 +129,29 @@ func TestRunScenarioResultsOutliveCellReuse(t *testing.T) {
 
 	if got := fmt.Sprintf("%#v %v %v %v", *first, first.TCPSeries, first.TFRCSeries, first.Queue); got != snapshot {
 		t.Fatalf("harvested result mutated by cell reuse:\nbefore: %s\nafter:  %s", snapshot, got)
+	}
+}
+
+// TestRunScenarioStaysWarmAcrossGC pins the idle-cell list: a warm Cell
+// survives garbage collection, so a RunScenario after two GCs reuses its
+// arena and allocates only its harvest instead of rebuilding the whole
+// working set cold (several hundred objects).
+func TestRunScenarioStaysWarmAcrossGC(t *testing.T) {
+	sc := Scenario{
+		NTCP: 2, NTFRC: 2,
+		BottleneckBW: 4e6,
+		Queue:        netsim.QueueRED,
+		Duration:     3,
+		Warmup:       1,
+	}
+	RunScenario(sc) // warm a cell
+	runtime.GC()
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	RunScenario(sc)
+	runtime.ReadMemStats(&after)
+	if allocs := after.Mallocs - before.Mallocs; allocs >= 50 {
+		t.Fatalf("RunScenario after two GCs allocated %d objects, want < 50: the warm cell was lost", allocs)
 	}
 }

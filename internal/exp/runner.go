@@ -122,17 +122,36 @@ func newCell() *Cell {
 	return &Cell{sched: s}
 }
 
-// cellPool recycles Cells across sweeps and across RunScenario calls,
-// so even non-sweep callers reuse a warm arena.
-var cellPool = sync.Pool{New: func() any { return newCell() }}
+// idleCells recycles warm Cells across sweeps and RunScenario calls, so
+// even non-sweep callers reuse a warm arena (a cold cell pays every
+// setup allocation again). It is a plain free list rather than a
+// sync.Pool: a pool drops its contents across two GCs, and a get never
+// sees the cell another P holds in its private slot, so the next run
+// would rebuild its working set cold. The list holds at most the peak number of cells
+// in use at once; begin() rewinds a cell on its next use.
+var idleCells struct {
+	sync.Mutex
+	cells []*Cell
+}
 
-func getCell() *Cell { return cellPool.Get().(*Cell) }
+func getCell() *Cell {
+	idleCells.Lock()
+	n := len(idleCells.cells)
+	if n == 0 {
+		idleCells.Unlock()
+		return newCell()
+	}
+	c := idleCells.cells[n-1]
+	idleCells.cells[n-1] = nil
+	idleCells.cells = idleCells.cells[:n-1]
+	idleCells.Unlock()
+	return c
+}
 
-// putCell deliberately pools the cell warm — keeping its scheduler,
-// arenas, and slabs live is the whole point (a cold cell costs the PR-4
-// setup allocations again); begin() rewinds everything on next Get.
 func putCell(c *Cell) {
-	cellPool.Put(c) //tfrclint:allow releasecheck warm reuse by design; begin() rewinds on next Get
+	idleCells.Lock()
+	idleCells.cells = append(idleCells.cells, c)
+	idleCells.Unlock()
 }
 
 // begin rewinds the cell's arena for a fresh scenario and returns its

@@ -38,17 +38,24 @@ func TestValidateCatchesBadParams(t *testing.T) {
 		{"fig3 negative duration", func() Params { p := DefaultFig03(); p.Duration = -5; return &p }(), "Duration"},
 		{"fig5 empty grid", &Fig05Params{RTT: 0.1, PacketSize: 1000}, "PLoss"},
 		{"fig6 zero flows", func() Params { p := DefaultFig06(); p.TotalFlows = []int{0}; return &p }(), "at least 2"},
+		{"fig6 seeds overflow the grid", func() Params { p := DefaultFig06(); p.Seeds = 1 << 62; return &p }(), "Seeds"},
 		{"fig6 tail exceeds duration", func() Params { p := DefaultFig06(); p.MeasureTail = p.Duration + 1; return &p }(), "MeasureTail"},
 		{"fig7 one flow", func() Params { p := DefaultFig07(); p.TotalFlows = []int{1}; return &p }(), "at least 2"},
-		{"fig8 no queues", &Fig08GridParams{Flows: 32}, "Queues"},
-		{"fig8 single flow", func() Params { p := DefaultFig08Grid(); p.Flows = 1; return &p }(), "at least 2"},
+		{"fig8 no queues", func() Params { p := DefaultFig08(); p.Queues = nil; return &p }(), "Queues"},
+		{"fig8 single flow", func() Params { p := DefaultFig08(); p.Flows = 1; return &p }(), "at least 2"},
+		{"fig8 trace past end", func() Params { p := DefaultFig08(); p.TraceFrom = p.Duration; return &p }(), "TraceFrom"},
+		{"fig8 zero bin", func() Params { p := DefaultFig08(); p.BinWidth = 0; return &p }(), "BinWidth"},
+		{"fig8 nothing traced", func() Params { p := DefaultFig08(); p.NTrace = 0; return &p }(), "NTrace"},
+		{"fig8 seeds overflow the grid", func() Params { p := DefaultFig08(); p.Seeds = 1 << 62; return &p }(), "Seeds"},
 		{"fig9 zero runs", func() Params { p := DefaultFig09(); p.Runs = 0; return &p }(), "Runs"},
 		{"fig9 one flow each", func() Params { p := DefaultFig09(); p.FlowsEach = 1; return &p }(), "FlowsEach"},
 		{"fig11 no sources", func() Params { p := DefaultFig11(); p.Sources = nil; return &p }(), "Sources"},
+		{"fig11 runs overflow the grid", func() Params { p := DefaultFig11(); p.Runs = 1 << 62; return &p }(), "Runs"},
 		{"fig11 timescale below the base bin", func() Params { p := DefaultFig11(); p.Timescales = []float64{0.01}; return &p }(), "whole multiples"},
 		{"fig11 timescale between base bins", func() Params { p := DefaultFig11(); p.Timescales = []float64{1, 0.25}; return &p }(), "whole multiples"},
 		{"fig9 timescale below the base bin", func() Params { p := DefaultFig09(); p.Timescales = []float64{0.05}; return &p }(), "whole multiples"},
 		{"fig14 zero queue", func() Params { p := DefaultFig14(); p.Queue = 0; return &p }(), "Queue"},
+		{"fig14 seeds overflow the grid", func() Params { p := DefaultFig14(); p.Seeds = 1 << 62; return &p }(), "Seeds"},
 		{"fig15 negative duration", &Fig15Params{Duration: -1}, "Duration"},
 		{"fig16 no timescales", &Fig16Params{Duration: 10}, "Timescales"},
 		{"fig16 timescale below the base bin", &Fig16Params{Timescales: []float64{0.01}, Duration: 10}, "whole multiples"},
@@ -58,6 +65,9 @@ func TestValidateCatchesBadParams(t *testing.T) {
 		{"fig21 bad drop rate", &Fig21Params{DropRates: []float64{1.5}, RTT: 0.05}, "drop rates"},
 		{"parkinglot warmup past end", func() Params { p := DefaultParkingLot(); p.Warmup = p.Duration; return &p }(), "Warmup"},
 		{"bwstep step order", func() Params { p := DefaultBWStep(); p.RestoreAt = p.StepAt - 1; return &p }(), "StepAt"},
+		{"parkinglot seeds overflow the grid", func() Params { p := DefaultParkingLot(); p.Seeds = 1 << 62; return &p }(), "Seeds"},
+		{"ccfair seeds overflow the grid", func() Params { p := DefaultCCFair(); p.Seeds = 1 << 62; return &p }(), "Seeds"},
+		{"chaos cells past the replicate bound", func() Params { p := DefaultChaos(); p.Cells = 1 << 62; return &p }(), "Cells"},
 		{"bwstep no flows", func() Params { p := DefaultBWStep(); p.NTCP, p.NTFRC = 0, 0; return &p }(), "at least one flow"},
 	}
 	for _, c := range cases {
