@@ -5,7 +5,9 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"sync"
 	"testing"
+	"weak"
 
 	"tfrc/internal/netsim"
 )
@@ -153,5 +155,54 @@ func TestRunScenarioStaysWarmAcrossGC(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	if allocs := after.Mallocs - before.Mallocs; allocs >= 50 {
 		t.Fatalf("RunScenario after two GCs allocated %d objects, want < 50: the warm cell was lost", allocs)
+	}
+}
+
+// TestIdleCellsReleasedAfterWideSweep pins the idle list's bound: a
+// sweep at a high worker count leaves at most that many cells cached,
+// and lowering the worker count afterwards lets the GC collect the
+// surplus, so one wide sweep does not pin its arenas for good.
+func TestIdleCellsReleasedAfterWideSweep(t *testing.T) {
+	prev := SetParallelism(4)
+	defer SetParallelism(prev)
+	sc := Scenario{
+		NTCP: 1, NTFRC: 1,
+		BottleneckBW: 2e6,
+		Queue:        netsim.QueueRED,
+		Duration:     2,
+		Warmup:       1,
+	}
+	var mu sync.Mutex
+	used := map[weak.Pointer[Cell]]bool{}
+	runCells(8, func(c *Cell, i int) int {
+		sc := sc
+		sc.Seed = int64(i)
+		runScenarioCell(c, sc)
+		mu.Lock()
+		used[weak.Make(c)] = true
+		mu.Unlock()
+		return i
+	})
+	if len(used) > 4 {
+		t.Fatalf("sweep at 4 workers used %d cells", len(used))
+	}
+	idleCells.Lock()
+	idle := len(idleCells.cells)
+	idleCells.Unlock()
+	if idle > 4 {
+		t.Fatalf("%d idle cells after a 4-worker sweep, want <= 4", idle)
+	}
+
+	SetParallelism(1)
+	runtime.GC()
+	runtime.GC()
+	live := 0
+	for w := range used {
+		if w.Value() != nil {
+			live++
+		}
+	}
+	if live > 1 {
+		t.Fatalf("%d of the sweep's %d cells still live after lowering the worker count to 1 and two GCs, want <= 1", live, len(used))
 	}
 }

@@ -67,8 +67,12 @@ func beginRun() *runSnap {
 	return activeSnap.Swap(s)
 }
 
-// endRun restores the snapshot that beginRun displaced.
-func endRun(prev *runSnap) { activeSnap.Store(prev) }
+// endRun restores the snapshot that beginRun displaced and trims the
+// idle cells the finished run left beyond the restored worker count.
+func endRun(prev *runSnap) {
+	activeSnap.Store(prev)
+	trimIdleCells()
+}
 
 // parallelism is the worker count every experiment's cell runner uses
 // (atomic so runs may be launched from any goroutine).
@@ -81,7 +85,8 @@ func init() { parallelism.Store(1) }
 // SetParallelism sets the number of worker goroutines used to execute
 // independent sweep cells (clamped to ≥ 1 and to the cell count) and
 // returns the previous value. Each worker holds one live simulation, so
-// memory grows with the setting; the Go scheduler bounds effective CPU
+// memory grows with the setting, and as many warm arenas stay cached
+// between runs (lowering the setting releases the surplus); the Go scheduler bounds effective CPU
 // parallelism to GOMAXPROCS. Results are bit-identical at any setting:
 // cells are pure and merged in deterministic cell order.
 //
@@ -92,7 +97,9 @@ func SetParallelism(n int) int {
 	if n < 1 {
 		n = 1
 	}
-	return int(parallelism.Swap(int64(n)))
+	prev := int(parallelism.Swap(int64(n)))
+	trimIdleCells()
+	return prev
 }
 
 // Parallelism returns the governing sweep worker count: the one
@@ -127,8 +134,12 @@ func newCell() *Cell {
 // setup allocation again). It is a plain free list rather than a
 // sync.Pool: a pool drops its contents across two GCs, and a get never
 // sees the cell another P holds in its private slot, so the next run
-// would rebuild its working set cold. The list holds at most the peak number of cells
-// in use at once; begin() rewinds a cell on its next use.
+// would rebuild its working set cold. The list keeps at most
+// Parallelism() idle cells — putCell, SetParallelism and the end of a
+// RunExperiment drop the rest to the GC — so after a wide sweep only as
+// many arenas stay pinned as the configured worker count (one for
+// sequential library callers); begin() rewinds a kept cell on its next
+// use.
 var idleCells struct {
 	sync.Mutex
 	cells []*Cell
@@ -150,7 +161,19 @@ func getCell() *Cell {
 
 func putCell(c *Cell) {
 	idleCells.Lock()
-	idleCells.cells = append(idleCells.cells, c)
+	if len(idleCells.cells) < Parallelism() {
+		idleCells.cells = append(idleCells.cells, c)
+	}
+	idleCells.Unlock()
+}
+
+// trimIdleCells drops idle cells beyond the governing worker count.
+func trimIdleCells() {
+	idleCells.Lock()
+	if keep := Parallelism(); len(idleCells.cells) > keep {
+		clear(idleCells.cells[keep:])
+		idleCells.cells = idleCells.cells[:keep]
+	}
 	idleCells.Unlock()
 }
 
