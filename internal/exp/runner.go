@@ -86,9 +86,10 @@ func init() { parallelism.Store(1) }
 // independent sweep cells (clamped to ≥ 1 and to the cell count) and
 // returns the previous value. Each worker holds one live simulation, so
 // memory grows with the setting, and as many warm arenas stay cached
-// between runs (lowering the setting releases the surplus); the Go scheduler bounds effective CPU
-// parallelism to GOMAXPROCS. Results are bit-identical at any setting:
-// cells are pure and merged in deterministic cell order.
+// between runs (lowering the setting releases the surplus); the Go
+// scheduler bounds effective CPU parallelism to GOMAXPROCS. Results are
+// bit-identical at any setting: cells are pure and merged in
+// deterministic cell order.
 //
 // Like SetContext, this is process-global and snapshotted by
 // RunExperiment at run start: a mid-sweep call configures the next run,
